@@ -46,6 +46,16 @@ class VariantKind(Enum):
         raise ValidationError(f"unknown variant kind {kind!r}")
 
 
+def _q_mask(n: int, m: int, s: int) -> int:
+    """q(S) in the cone layout over an n-element source: S, the m fibers
+    over each element of S, and the tip."""
+    out = s | (1 << (m + 1) * n)
+    fibers = (1 << m) - 1
+    for e in bit_members(s):
+        out |= fibers << (n + e * m)
+    return out
+
+
 class ConeMatroid(Matroid):
     """A free m-cone, remembering its source matroid and element roles.
 
@@ -74,10 +84,7 @@ class ConeMatroid(Matroid):
         return ((1 << self.m) - 1) << (n + e * self.m)
 
     def q_mask(self, s: int) -> int:
-        out = s | (1 << self.tip_id)
-        for e in bit_members(s):
-            out |= self.fibers_of(e)
-        return out
+        return _q_mask(self.source.n, self.m, s)
 
     def p_mask(self, s: int) -> int:
         out = s & self.base_mask
@@ -112,13 +119,6 @@ def free_m_cone(M: Matroid, m: int, validate: bool = True) -> ConeMatroid:
     names = list(M.names) + [
         f"{M.names[e]}#{j}" for e in range(n) for j in range(1, m + 1)
     ] + ["@tip"]
-    tip = 1 << ((m + 1) * n)
-
-    def qm(s: int) -> int:
-        out = s | tip
-        for e in bit_members(s):
-            out |= ((1 << m) - 1) << (n + e * m)
-        return out
 
     entries = list(M.zf)
     for rk, level in enumerate(M.flats_by_rank()):
@@ -126,7 +126,7 @@ def free_m_cone(M: Matroid, m: int, validate: bool = True) -> ConeMatroid:
             continue
         for f in level:
             if f:
-                entries.append((qm(f), rk + 1))
+                entries.append((_q_mask(n, m, f), rk + 1))
     if validate:
         report = zlattice.validate_axioms(entries)
         if not report.ok:

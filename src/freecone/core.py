@@ -9,6 +9,16 @@ come from the minimum formula
 which is exercised against an independent bases oracle in the test suite
 before anything downstream relies on it.  All arithmetic is exact; subsets
 are Python ints used as bitmasks.
+
+Closure and coloops come from the cyclic flats Z that attain the minimum
+for X (Bonin and de Mier, "The lattice of cyclic flats of a matroid"):
+
+    for e not in X,  r(X + e) = r(X)  iff  some minimizing Z contains e,
+    for e in X,      r(X - e) < r(X)  iff  some minimizing Z misses e,
+
+so cl(X) is X together with the union of the minimizers, and the coloops
+of M|X are the elements of X outside their intersection.  One pass over
+the family gives the rank and both masks.
 """
 
 from __future__ import annotations
@@ -16,9 +26,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import GroundSetTooLarge, NotABasisSystem
+from ._bits import as_mask, bit_members
+from .errors import AxiomViolation, GroundSetTooLarge, NotABasisSystem
 from .zlattice import validate_axioms
-from .errors import AxiomViolation
 
 __all__ = [
     "Matroid",
@@ -34,26 +44,6 @@ __all__ = [
 # operations that walk the whole flat lattice through this module.
 FLAT_ENUMERATION_BOUND = 16
 ISOMORPHISM_BOUND = 10
-
-
-def as_mask(x) -> int:
-    """Coerce an int bitmask or an iterable of element ids to a bitmask."""
-    if isinstance(x, int):
-        return x
-    mask = 0
-    for e in x:
-        mask |= 1 << e
-    return mask
-
-
-def bit_members(mask: int) -> list[int]:
-    """Element ids present in a bitmask, ascending."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
 
 
 def _compress_mask(mask: int, kept: Sequence[int]) -> int:
@@ -145,16 +135,22 @@ class Matroid:
                 return False
         return True
 
+    def _minimizers(self, x: int) -> tuple[int, int, int]:
+        """r(X), the elements outside every cyclic flat attaining the
+        minimum for X, and the elements outside at least one of them."""
+        best = self.n + 1
+        out_all = out_some = 0
+        for zneg, rz in self._zneg:
+            r = rz + (x & zneg).bit_count()
+            if r < best:
+                best, out_all, out_some = r, zneg, zneg
+            elif r == best:
+                out_all &= zneg
+                out_some |= zneg
+        return best, out_all, out_some
+
     def closure_mask(self, x: int) -> int:
-        rx = self.rank_mask(x)
-        cl = x
-        rem = self._full & ~x
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            if self.rank_mask(x | b) == rx:
-                cl |= b
-        return cl
+        return x | (self._full & ~self._minimizers(x)[1])
 
     def closure(self, x: Iterable[int] | int) -> set[int]:
         return set(bit_members(self.closure_mask(as_mask(x) & self._full)))
@@ -163,15 +159,7 @@ class Matroid:
         return self.closure_mask(x) == x
 
     def coloops_of_restriction_mask(self, x: int) -> int:
-        rx = self.rank_mask(x)
-        out = 0
-        rem = x
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            if self.rank_mask(x ^ b) < rx:
-                out |= b
-        return out
+        return x & self._minimizers(x)[2]
 
     def coloops_of_restriction(self, x: Iterable[int] | int) -> set[int]:
         return set(bit_members(self.coloops_of_restriction_mask(as_mask(x) & self._full)))
@@ -261,42 +249,19 @@ class Matroid:
         """Delete the elements of `x`.
 
         The cyclic flats of the deletion are exactly the sets F - x, for F
-        cyclic flats of this matroid, that remain cyclic flats after the
-        deletion; ranks of surviving subsets are unchanged.
+        cyclic flats of this matroid, that have no coloops in their
+        restriction; ranks of surviving subsets are unchanged.  Each F - x
+        is a flat of the deletion already: its closure lies inside F.
         """
         dmask = as_mask(x) & self._full
         keep = self._full & ~dmask
         kept = bit_members(keep)
         names = tuple(self.names[e] for e in kept)
-        cands: dict[int, int] = {}
-        for z, _ in self.zf:
-            c = z & keep
-            if c not in cands:
-                cands[c] = self.rank_mask(c)
         entries = []
-        for c, rc in cands.items():
-            # flat within the deletion: no kept element outside c stays in its span
-            rem = keep & ~c
-            ok = True
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                if self.rank_mask(c | b) == rc:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # cyclic: no coloops in the restriction
-            rem = c
-            while rem:
-                b = rem & -rem
-                rem ^= b
-                if self.rank_mask(c ^ b) < rc:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            entries.append((_compress_mask(c, kept), rc))
+        for c in {z & keep for z, _ in self.zf}:
+            rc, _, out_some = self._minimizers(c)
+            if not c & out_some:
+                entries.append((_compress_mask(c, kept), rc))
         return from_cyclic_flats(entries, len(kept), names=names, validate=validate)
 
     def restrict(self, x: Iterable[int] | int, validate: bool = True) -> "Matroid":

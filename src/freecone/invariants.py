@@ -319,57 +319,6 @@ def flags_of_deletion(M: Matroid, S):
         yield imgs
 
 
-class _LatticeWalker:
-    """Closure and covers over a matroid's flat lattice, vectorized.
-
-    Used for cone-sized ground sets where the pure-int closure loop is the
-    bottleneck; numeric values stay small ints so everything is exact.
-    """
-
-    def __init__(self, M: Matroid):
-        if M.n > 32:
-            raise GroundSetTooLarge("lattice walking supported up to n=32")
-        self.M = M
-        self.n = M.n
-        self.full = M.full_mask
-        t = len(M.zf)
-        self.zneg = np.array([zn for zn, _ in M._zneg], dtype=np.int64)
-        self.rz = np.array([r for _, r in M._zneg], dtype=np.int64)
-        zin = np.zeros((t, M.n), dtype=bool)
-        for i, (z, _) in enumerate(M.zf):
-            for e in range(M.n):
-                zin[i, e] = bool(z >> e & 1)
-        self.zin = zin
-        self.inf = np.int64(M.n + 2)
-
-    def rank_and_closure(self, x: int):
-        base = self.rz + _popcount64(np.int64(x) & self.zneg)
-        r = int(base.min())
-        col = base[:, None]
-        with_e = np.minimum(
-            np.where(self.zin, col, self.inf).min(axis=0),
-            np.where(self.zin, self.inf, col).min(axis=0) + 1,
-        )
-        cl = x
-        for e in np.nonzero(with_e == r)[0]:
-            cl |= 1 << int(e)
-        return r, cl
-
-    def covers(self, f: int) -> list[int]:
-        out = []
-        rem = self.full & ~f
-        while rem:
-            b = rem & -rem
-            _, g = self.rank_and_closure(f | b)
-            out.append(g)
-            rem &= ~g
-        return out
-
-    def bottom(self) -> int:
-        _, cl = self.rank_and_closure(0)
-        return cl
-
-
 def catenary_data(M: Matroid) -> CatenaryData:
     """Flag counts per composition, by dynamic programming over the flat
     lattice (level by level, carrying composition prefixes per flat).
@@ -378,19 +327,13 @@ def catenary_data(M: Matroid) -> CatenaryData:
     materializing every chain, which matters for cones.
     """
     k = M.rank_int
-    if M.n > 13:
-        walker = _LatticeWalker(M)
-        bottom = walker.bottom()
-        covers = walker.covers
-    else:
-        bottom = M.closure_mask(0)
-        covers = M.covers_mask
+    bottom = M.closure_mask(0)
     profiles: dict[int, dict[tuple, int]] = {bottom: {(bottom.bit_count(),): 1}}
     for _ in range(k):
         nxt: dict[int, dict[tuple, int]] = {}
         for f in sorted(profiles):
             prof = profiles[f]
-            for g in covers(f):
+            for g in M.covers_mask(f):
                 delta = (g & ~f).bit_count()
                 tgt = nxt.setdefault(g, {})
                 for pref, c in prof.items():

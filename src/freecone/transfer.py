@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .catalog import rank_two
 from .cone import ConeMatroid, VariantKind, free_m_cone, variant
 from .core import Matroid, bit_members, from_cyclic_flats, is_isomorphic, matroid_from_rank_oracle
 from .errors import (
@@ -550,27 +551,6 @@ def _candidates_main(cfg: Configuration, kind: VariantKind, m: int):
     yield matroid_from_rank_oracle(n, rank_fn)
 
 
-def _rank2_matroid(class_sizes: list[int]) -> Matroid:
-    n = sum(class_sizes)
-    marks = []
-    acc = 0
-    for p in class_sizes:
-        acc += p
-        marks.append(acc)
-
-    def cls(e: int) -> int:
-        for i, hi in enumerate(marks):
-            if e < hi:
-                return i
-        raise AssertionError
-
-    def rank_fn(x: int) -> int:
-        seen = {cls(e) for e in bit_members(x)}
-        return min(2, len(seen))
-
-    return matroid_from_rank_oracle(n, rank_fn)
-
-
 def _candidates_rank2(cfg: Configuration, kind: VariantKind, m: int):
     nodes2 = cfg.nodes_of_rho(2)
     if kind in (VariantKind.FULL, VariantKind.TIPLESS):
@@ -586,7 +566,7 @@ def _candidates_rank2(cfg: Configuration, kind: VariantKind, m: int):
                     break
                 ps.append(s // (m + 1))
             if ok and len(ps) >= 2:
-                yield _rank2_matroid(ps)
+                yield rank_two(ps)
     else:
         delta = 1 if kind is VariantKind.BASELESS else 0
         ps = []
@@ -596,7 +576,7 @@ def _candidates_rank2(cfg: Configuration, kind: VariantKind, m: int):
                 return
             ps.append(s // m)
         if len(ps) >= 2:
-            yield _rank2_matroid(ps)
+            yield rank_two(ps)
 
 
 def _candidates_rank1(cfg: Configuration, kind: VariantKind, m: int):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._bits import as_mask, bit_members
 from .errors import ValidationError
 
 __all__ = [
@@ -29,24 +30,6 @@ __all__ = [
     "configuration",
     "configurations_equal",
 ]
-
-
-def _as_mask(x) -> int:
-    if isinstance(x, int):
-        return x
-    mask = 0
-    for e in x:
-        mask |= 1 << e
-    return mask
-
-
-def _members(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -102,12 +85,12 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
         items = list(family)
     ranks: dict[int, int] = {}
     for s, r in items:
-        m = _as_mask(s)
+        m = as_mask(s)
         if not isinstance(r, int) or isinstance(r, bool):
             raise TypeError(f"rank of {s!r} must be an integer")
         if m in ranks and ranks[m] != r:
             return ValidationReport(
-                False, "Z0", (_members(m),),
+                False, "Z0", _witness(m),
                 f"set {_fmt(m)} appears with two ranks ({ranks[m]} and {r})",
             )
         ranks[m] = r
@@ -124,13 +107,13 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
             ji = _join_index(ms, ms[i], ms[j])
             if ji is None:
                 return ValidationReport(
-                    False, "Z0", (_members(ms[i]), _members(ms[j])),
+                    False, "Z0", _witness(ms[i], ms[j]),
                     f"{_fmt(ms[i])} and {_fmt(ms[j])} have no join in the family",
                 )
             mi = _meet_index(ms, ms[i], ms[j])
             if mi is None:
                 return ValidationReport(
-                    False, "Z0", (_members(ms[i]), _members(ms[j])),
+                    False, "Z0", _witness(ms[i], ms[j]),
                     f"{_fmt(ms[i])} and {_fmt(ms[j])} have no meet in the family",
                 )
             joins[i, j] = ji
@@ -140,7 +123,7 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
     bottom = ms[0]
     if ranks[bottom] != 0:
         return ValidationReport(
-            False, "Z1", (_members(bottom),),
+            False, "Z1", _witness(bottom),
             f"least member {_fmt(bottom)} has rank {ranks[bottom]}, expected 0",
         )
 
@@ -154,7 +137,7 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
             dc = (y & ~x).bit_count()
             if not 0 < dr < dc:
                 return ValidationReport(
-                    False, "Z2", (_members(x), _members(y)),
+                    False, "Z2", _witness(x, y),
                     f"r({_fmt(y)}) - r({_fmt(x)}) = {dr} not strictly between 0 and {dc}",
                 )
 
@@ -171,7 +154,7 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
             rhs = ranks[x] + ranks[y]
             if lhs > rhs:
                 return ValidationReport(
-                    False, "Z3", (_members(x), _members(y)),
+                    False, "Z3", _witness(x, y),
                     f"r(join) + r(meet) + defect = {lhs} exceeds r(X) + r(Y) = {rhs} "
                     f"for X={_fmt(x)}, Y={_fmt(y)}",
                 )
@@ -179,22 +162,28 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
     return ValidationReport(True)
 
 
+def _witness(*masks: int) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(bit_members(m)) for m in masks)
+
+
 def _fmt(mask: int) -> str:
-    return "{" + ",".join(str(e) for e in sorted(_members(mask))) + "}"
+    return "{" + ",".join(str(e) for e in bit_members(mask)) + "}"
 
 
 def cyclic_flats(M) -> list[tuple[frozenset[int], int]]:
-    """Recompute the cyclic flats of `M` from its rank oracle alone.
+    """Recompute the cyclic flats of `M` by walking its flat lattice.
 
     Scans the whole flat lattice and keeps the flats whose restriction has
-    no coloops.  Intentionally independent of the stored family, so it can
-    cross-check constructions; use it at desk scale only.
+    no coloops.  Closure and coloops are read from `M`'s stored family, so
+    this is a consistency check of that family (it must find exactly its
+    members), not an independent oracle; those live in the test suite's
+    brute-force oracles.  Use it at desk scale only.
     """
     out = []
     for r, level in enumerate(M.flats_by_rank()):
         for f in level:
             if M.is_cyclic_mask(f):
-                out.append((_members(f), r))
+                out.append((frozenset(bit_members(f)), r))
     out.sort(key=lambda fr: (len(fr[0]), sorted(fr[0])))
     return out
 

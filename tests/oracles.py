@@ -29,6 +29,16 @@ def closure_of(n: int, rank, x: int) -> int:
     return out
 
 
+def coloops_of(n: int, rank, x: int) -> int:
+    """Elements of x whose removal lowers the rank: the coloops of M|x."""
+    rx = rank(x)
+    out = 0
+    for e in range(n):
+        if x >> e & 1 and rank(x ^ 1 << e) < rx:
+            out |= 1 << e
+    return out
+
+
 def flats_by_rank(n: int, rank):
     """All flats grouped by rank, found by closing every subset."""
     full = (1 << n) - 1

@@ -1,6 +1,8 @@
 """Rank formula, closure, minors, and construction paths, checked against
 brute-force oracles that work from explicit basis lists."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from freecone import (
 )
 from freecone.catalog import fixture_matroids, uniform
 
-from oracles import closure_of, rank_from_bases, uniform_bases
+from oracles import closure_of, coloops_of, rank_from_bases, uniform_bases
 
 FIXTURES = fixture_matroids()
 
@@ -57,6 +59,17 @@ def test_closure_matches_oracle():
             assert M.closure_mask(x) == closure_of(M.n, oracle, x), name
 
 
+def test_restriction_coloops_and_cyclic_sets_match_oracle():
+    for name, M in FIXTURES:
+        if M.n == 0:
+            continue
+        oracle = rank_from_bases(M.bases_masks())
+        for x in range(1 << M.n):
+            want = coloops_of(M.n, oracle, x)
+            assert M.coloops_of_restriction_mask(x) == want, (name, bin(x))
+            assert M.is_cyclic_mask(x) == (want == 0), (name, bin(x))
+
+
 def test_flats_by_rank_counts_on_the_disjoint_line_pair():
     disjoint = dict(FIXTURES)["disjoint-lines"]
     sizes = [len(level) for level in disjoint.flats_by_rank()]
@@ -65,13 +78,16 @@ def test_flats_by_rank_counts_on_the_disjoint_line_pair():
 
 
 def test_delete_matches_basis_oracle():
+    # single elements, and pairs, which can take two elements off one cyclic flat
     for name, M in FIXTURES:
         if M.n < 2:
             continue
-        for drop in range(M.n):
-            D = M.delete({drop})
-            kept = [e for e in range(M.n) if e != drop]
-            oracle = rank_from_bases(M.bases_masks())
+        oracle = rank_from_bases(M.bases_masks())
+        drops = [{e} for e in range(M.n)]
+        drops += [set(pair) for pair in itertools.combinations(range(M.n), 2)]
+        for drop in drops:
+            D = M.delete(drop)
+            kept = [e for e in range(M.n) if e not in drop]
             for x in range(1 << D.n):
                 lifted = sum(1 << kept[i] for i in range(D.n) if x >> i & 1)
                 assert D.rank_mask(x) == oracle(lifted), (name, drop)
