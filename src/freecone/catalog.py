@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .cone import free_m_cone
-from .core import Matroid, bit_members, from_cyclic_flats, is_isomorphic, matroid_from_rank_oracle
+from .core import Matroid, bit_members, from_cyclic_flats, matroid_from_rank_oracle
 from .invariants import g_invariant, src_data, tutte
 
 __all__ = [

@@ -29,7 +29,6 @@ from .documents import (
 )
 from .errors import GroundSetTooLarge, MatroidError, NotABasisSystem, ParseError
 from .invariants import (
-    DEFAULT_MAX_PERMS,
     DEFAULT_MAX_SUBSETS,
     catenary_data,
     characteristic,
@@ -104,7 +103,7 @@ def cmd_cone(args) -> int:
 
 def _invariant_document(M, kind: str, args):
     if kind == "g":
-        return g_to_document(g_invariant(M, max_perms=args.max_perms, threads=args.threads))
+        return g_to_document(g_invariant(M))
     if kind == "catenary":
         return catenary_to_document(catenary_data(M))
     if kind == "tutte":
@@ -191,7 +190,7 @@ def cmd_compare(args) -> int:
 def cmd_certify_pair(args) -> int:
     M = _load_matroid(args.file_a)
     N = _load_matroid(args.file_b)
-    report = certify_pair(M, N, args.m)
+    report = certify_pair(M, N, args.m, max_subsets=args.max_subsets)
     _emit(
         {
             "m": report.m,
@@ -221,15 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_SUBSETS,
         help="largest subset enumeration allowed (default 2^25)",
-    )
-    common.add_argument(
-        "--max-perms",
-        type=int,
-        default=DEFAULT_MAX_PERMS,
-        help="largest permutation enumeration allowed (default 10!)",
-    )
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker processes for heavy counts"
     )
 
     parser = argparse.ArgumentParser(

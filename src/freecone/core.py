@@ -40,8 +40,9 @@ __all__ = [
     "bit_members",
 ]
 
-# Enumerating every flat is exponential; this is the documented ceiling for
-# operations that walk the whole flat lattice through this module.
+# The ceiling on the element count for basis enumeration and rank-oracle
+# extraction.  Walking the flat lattice (flats_by_rank) has no element
+# bound: its cost follows the number of flats, not n.
 FLAT_ENUMERATION_BOUND = 16
 ISOMORPHISM_BOUND = 10
 
@@ -194,10 +195,6 @@ class Matroid:
         """All flats as masks, grouped by rank (index = rank)."""
         if self._flats is not None:
             return self._flats
-        if self.n > FLAT_ENUMERATION_BOUND:
-            raise GroundSetTooLarge(
-                f"flat enumeration supported up to n={FLAT_ENUMERATION_BOUND}, got n={self.n}"
-            )
         levels = [[self.closure_mask(0)]]
         while True:
             nxt = set()

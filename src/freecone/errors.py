@@ -31,7 +31,7 @@ class NotABasisSystem(MatroidError):
 
 
 class GroundSetTooLarge(MatroidError):
-    """An operation would enumerate more subsets or permutations than allowed."""
+    """An operation would enumerate more subsets or elements than allowed."""
 
 
 class SourceHasLoops(MatroidError):

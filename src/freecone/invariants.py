@@ -1,18 +1,19 @@
 """Invariant computations: G-invariant, catenary data, Tutte polynomial,
 characteristic polynomial, size-rank-coloop data, and flag streams.
 
-Everything here computes by direct definition (permutations, chains in the
-flat lattice, subset expansion); the transfer module reproduces several of
-these from source-matroid data alone, and the test suite holds the two
-sides equal.  Counts are exact ints throughout; numpy is used only as a
-fast exact integer engine (int64 with bounded values, never floats).
+Catenary data counts chains in the flat lattice, and the G-invariant is
+derived from those flag counts (Bonin and Kung 2018) with no permutation
+enumerated; Tutte, characteristic and size-rank-coloop data come from
+subset expansion.  The transfer module reproduces several of these from
+source data alone, and the test suite holds them equal to the direct
+computations and to brute-force oracles.  Counts are exact ints; numpy is
+used only as a fast exact integer engine (int64 with bounded values,
+never floats).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,9 @@ __all__ = [
     "flags",
     "flags_of_deletion",
     "DEFAULT_MAX_SUBSETS",
-    "DEFAULT_MAX_PERMS",
 ]
 
 DEFAULT_MAX_SUBSETS = 1 << 25
-DEFAULT_MAX_PERMS = math.factorial(10)
 
 _PC16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
 
@@ -218,61 +217,6 @@ def _rank_table(M: Matroid, max_subsets: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# G-invariant
-
-
-def _g_partial(n: int, table, firsts, counts: dict):
-    for first in firsts:
-        base_mask = 1 << first
-        base_r = table[base_mask]
-        rest = [e for e in range(n) if e != first]
-        for tail in itertools.permutations(rest):
-            mask = base_mask
-            prev = base_r
-            seq = ["1" if base_r else "0"]
-            for e in tail:
-                mask |= 1 << e
-                r = table[mask]
-                seq.append("1" if r > prev else "0")
-                prev = r
-            key = "".join(seq)
-            counts[key] = counts.get(key, 0) + 1
-
-
-def _g_worker(args):
-    n, table, firsts = args
-    counts: dict = {}
-    _g_partial(n, table, firsts, counts)
-    return counts
-
-
-def g_invariant(
-    M: Matroid, max_perms: int = DEFAULT_MAX_PERMS, threads: int = 1
-) -> GInvariant:
-    """The multiset of rank sequences of all ground-set permutations."""
-    n = M.n
-    if math.factorial(n) > max_perms:
-        raise GroundSetTooLarge(
-            f"{n}! permutations exceed the allowed {max_perms}"
-        )
-    if n == 0:
-        return GInvariant(0, 0, {"": 1})
-    table = [0] * (1 << n)
-    for mask in range(1 << n):
-        table[mask] = M.rank_mask(mask)
-    counts: dict = {}
-    if threads <= 1 or n < 2:
-        _g_partial(n, table, range(n), counts)
-    else:
-        jobs = [(n, table, [first]) for first in range(n)]
-        with multiprocessing.Pool(processes=threads) as pool:
-            for part in pool.map(_g_worker, jobs):
-                for key, c in part.items():
-                    counts[key] = counts.get(key, 0) + c
-    return GInvariant(n, M.rank_int, counts)
-
-
-# ---------------------------------------------------------------------------
 # flags and catenary data
 
 
@@ -319,9 +263,10 @@ def flags_of_deletion(M: Matroid, S):
         yield imgs
 
 
-def catenary_data(M: Matroid) -> CatenaryData:
-    """Flag counts per composition, by dynamic programming over the flat
-    lattice (level by level, carrying composition prefixes per flat).
+def _flag_counts(M: Matroid) -> dict:
+    """{composition (a_0, ..., a_k): number of flags}, by dynamic programming
+    over the flat lattice (level by level, carrying composition prefixes
+    per flat).
 
     Agrees with tallying the flags() stream; the DP form just avoids
     materializing every chain, which matters for cones.
@@ -341,11 +286,57 @@ def catenary_data(M: Matroid) -> CatenaryData:
                     tgt[key] = tgt.get(key, 0) + c
         profiles = nxt
     if k == 0:
-        counts = profiles[bottom]
-    else:
-        (top_mask, counts), = profiles.items()
-        assert top_mask == M.full_mask or M.rank_mask(top_mask) == k
-    return CatenaryData(M.n, k, dict(counts))
+        return profiles[bottom]
+    (top_mask, counts), = profiles.items()
+    assert top_mask == M.full_mask or M.rank_mask(top_mask) == k
+    return counts
+
+
+def catenary_data(M: Matroid) -> CatenaryData:
+    """Flag counts per composition (see _flag_counts)."""
+    return CatenaryData(M.n, M.rank_int, _flag_counts(M))
+
+
+# ---------------------------------------------------------------------------
+# G-invariant
+
+
+def g_invariant(M: Matroid) -> GInvariant:
+    """The multiset of rank sequences of all ground-set permutations,
+    derived from the flag counts (Bonin and Kung 2018); no permutation is
+    enumerated.
+
+    A permutation follows one flag: X_j is the closure of its prefixes of
+    rank j.  For a flag of composition a, with P_j = a_0 + ... + a_j, the
+    permutations that follow it with rank sequence s number the product
+    over positions t = 1..n of a_j at the j-th rise and of P_j - (t - 1)
+    at a non-rise while the rank is j.  The walk goes depth-first over
+    prefixes of s and carries, per state (P_j, a_{j+1}, ..., a_k) that the
+    remaining factors depend on, the flag count times partial product.  A
+    state whose factor reaches 0 is dropped, so no zero count is emitted.
+    """
+    n, k = M.n, M.rank_int
+    counts: dict = {}
+
+    def walk(prefix: str, j: int, states: dict):
+        t = len(prefix)
+        if j == k:  # the n - t remaining non-rises give (n - t)!
+            counts[prefix + "0" * (n - t)] = sum(states.values()) * math.factorial(n - t)
+            return
+        rise: dict = {}
+        stay: dict = {}
+        for state, w in states.items():
+            p, a = state[0], state[1]
+            nxt = (p + a,) + state[2:]
+            rise[nxt] = rise.get(nxt, 0) + w * a
+            if p > t:
+                stay[state] = w * (p - t)
+        walk(prefix + "1", j + 1, rise)
+        if stay:
+            walk(prefix + "0", j, stay)
+
+    walk("", 0, _flag_counts(M))
+    return GInvariant(n, k, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import freecone.transfer
 from freecone.cli import main
 from freecone.documents import canonical_json, matroid_to_document
 from freecone.catalog import example_pair, separating_pair, uniform
@@ -211,6 +212,18 @@ def test_certify_pair(tmp_path, capsys):
     assert json.loads(out)["all_passed"] is False
 
 
+def test_certify_pair_exits_4_when_g_disagrees_with_subset_scan(tmp_path, capsys, monkeypatch):
+    # a G of the right shape but of another matroid: both sources get it,
+    # so the G leg still passes and only the subset-scan cross-check can object
+    wrong = freecone.transfer.g_invariant(uniform(M1.rank_int, M1.n))
+    monkeypatch.setattr(freecone.transfer, "g_invariant", lambda M: wrong)
+    code, out, _ = _run(capsys, ["certify-pair", "--m", "1", _m1(tmp_path), _m2(tmp_path)])
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["oracle_ok"] is False
+    assert all(leg["passed"] for leg in doc["legs"])
+
+
 def test_higgs_output_is_a_valid_matroid(tmp_path, capsys):
     code, out, _ = _run(capsys, ["higgs", _m1(tmp_path)])
     assert code == 0
@@ -222,7 +235,13 @@ def test_higgs_output_is_a_valid_matroid(tmp_path, capsys):
 
 def test_size_bound_exit_code(tmp_path, capsys):
     big = _write(tmp_path, "big.json", matroid_to_document(uniform(1, 11)))
-    code, _, err = _run(capsys, ["invariant", "--kind", "g", big])
+    code, _, err = _run(capsys, ["invariant", "--kind", "tutte", "--max-subsets", "1024", big])
+    assert code == 3
+    assert "size bound" in err
+
+    # the subset-scan cross-check of certify-pair honours the same bound
+    pair = ["certify-pair", "--m", "1", "--max-subsets", "32", _m1(tmp_path), _m2(tmp_path)]
+    code, _, err = _run(capsys, pair)
     assert code == 3
     assert "size bound" in err
 

@@ -8,6 +8,8 @@ from freecone import (
     SourceHasLoops,
     ValidationError,
     VariantKind,
+    catenary_data,
+    catenary_of_cone,
     free_m_cone,
     from_cyclic_flats,
     higgs_lift,
@@ -48,6 +50,14 @@ def test_cone_of_the_empty_matroid_is_a_single_point():
     Q = free_m_cone(uniform(0, 0), 3)
     assert Q.n == 1 and Q.rank_int == 1
     assert Q.names == ("@tip",)
+
+
+def test_cone_of_a_source_above_16_elements():
+    # the flat lattice of U(2,17) has 19 flats; its element count is no bound
+    M = uniform(2, 17)
+    Q = free_m_cone(M, 1)
+    assert Q.n == 35
+    assert catenary_data(Q) == catenary_of_cone(catenary_data(M), 1, VariantKind.FULL)
 
 
 def test_cone_cyclic_flat_count_on_the_example():

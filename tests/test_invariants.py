@@ -17,12 +17,15 @@ from freecone import (
     characteristic,
     flags,
     flags_of_deletion,
+    free_m_cone,
     g_invariant,
     src_data,
+    src_from_g,
     tutte,
     tutte_from_size_rank,
+    variant,
 )
-from freecone.catalog import example_pair, fixture_matroids, uniform
+from freecone.catalog import example_pair, fixture_matroids, separating_pair, uniform
 
 from oracles import (
     catenary_counts,
@@ -44,9 +47,27 @@ def test_g_invariant_of_the_example_pair():
 
 
 def test_g_invariant_matches_permutation_oracle():
-    for name, M in SMALL:
+    m1, m2 = example_pair()
+    n1, n2 = separating_pair()
+    pool = [(name, M) for name, M in FIXTURES if M.n <= 8]
+    pool += [("m1", m1), ("m2", m2), ("n1", n1), ("n2", n2), ("U(3,8)", uniform(3, 8))]
+    for name, M in pool:
         oracle = g_counts(M.n, rank_from_bases(M.bases_masks()))
         assert g_invariant(M).counts == oracle, name
+
+
+@pytest.mark.parametrize(
+    "source, m, kind",
+    [("m1", 1, "full"), ("n1", 1, "full"), ("n2", 1, "tipless"), ("m1", 2, "full"),
+     ("m2", 2, "tipless")],
+)
+def test_g_invariant_of_cones_matches_subset_scan(source, m, kind):
+    # 13 to 19 elements: out of the permutation oracle's reach
+    sources = dict(zip(("m1", "m2", "n1", "n2"), example_pair() + separating_pair()))
+    Q = variant(free_m_cone(sources[source], m), kind)
+    g = g_invariant(Q)
+    assert sum(g.counts.values()) == math.factorial(Q.n)
+    assert src_from_g(g) == src_data(Q)
 
 
 def test_g_invariant_total_is_factorial():
@@ -54,16 +75,6 @@ def test_g_invariant_total_is_factorial():
         if M.n == 0:
             continue
         assert sum(g_invariant(M).counts.values()) == math.factorial(M.n), name
-
-
-def test_g_invariant_threads_match_serial():
-    M = dict(FIXTURES)["mk4"]
-    assert g_invariant(M, threads=2) == g_invariant(M)
-
-
-def test_g_invariant_size_bound():
-    with pytest.raises(GroundSetTooLarge):
-        g_invariant(uniform(2, 5), max_perms=10)
 
 
 def test_catenary_of_the_example_pair():
