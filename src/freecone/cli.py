@@ -2,9 +2,10 @@
 
 Every subcommand reads UTF-8 JSON documents (a path, or `-` for stdin),
 writes one canonical JSON document to stdout, and reports problems on
-stderr.  Exit codes: 0 success, 1 invalid input, 2 compared objects are
-unequal (or a certification leg failed), 3 a size bound was exceeded,
-4 internal inconsistency (an oracle cross-check failed).
+stderr.  Exit codes: 0 success, 1 invalid input (usage errors included),
+2 compared objects are unequal (or a certification leg failed), 3 a size
+bound was exceeded, 4 internal inconsistency (an oracle cross-check
+failed).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .documents import (
 )
 from .errors import GroundSetTooLarge, MatroidError, NotABasisSystem, ParseError
 from .invariants import (
-    DEFAULT_MAX_SUBSETS,
     catenary_data,
     characteristic,
     g_invariant,
@@ -101,24 +101,24 @@ def cmd_cone(args) -> int:
     return 0
 
 
-def _invariant_document(M, kind: str, args):
+def _invariant_document(M, kind: str):
     if kind == "g":
         return g_to_document(g_invariant(M))
     if kind == "catenary":
         return catenary_to_document(catenary_data(M))
     if kind == "tutte":
-        return tutte_to_document(tutte(M, max_subsets=args.max_subsets))
+        return tutte_to_document(tutte(M))
     if kind == "characteristic":
-        return characteristic_to_document(characteristic(M, max_subsets=args.max_subsets))
+        return characteristic_to_document(characteristic(M))
     if kind == "src":
-        return src_to_document(src_data(M, max_subsets=args.max_subsets))
+        return src_to_document(src_data(M))
     if kind == "config":
         return configuration_to_document(configuration(M))
     raise AssertionError(kind)
 
 
 def cmd_invariant(args) -> int:
-    _emit(_invariant_document(_load_matroid(args.file), args.kind, args))
+    _emit(_invariant_document(_load_matroid(args.file), args.kind))
     return 0
 
 
@@ -129,7 +129,7 @@ def cmd_transfer(args) -> int:
         out = catenary_of_cone(catenary_data(M), args.m, kind)
         _emit(catenary_to_document(out))
     else:
-        out = tutte_of_cone_from_src(src_data(M, max_subsets=args.max_subsets), args.m, kind)
+        out = tutte_of_cone_from_src(src_data(M), args.m, kind)
         _emit(tutte_to_document(out))
     return 0
 
@@ -151,8 +151,8 @@ def cmd_compare(args) -> int:
         if not equal:
             first = "node-count" if len(ca) != len(cb) else "certificate"
     else:
-        da = _invariant_document(A, args.kind, args)
-        db = _invariant_document(B, args.kind, args)
+        da = _invariant_document(A, args.kind)
+        db = _invariant_document(B, args.kind)
         equal = da == db
         first = None
         if not equal:
@@ -190,7 +190,7 @@ def cmd_compare(args) -> int:
 def cmd_certify_pair(args) -> int:
     M = _load_matroid(args.file_a)
     N = _load_matroid(args.file_b)
-    report = certify_pair(M, N, args.m, max_subsets=args.max_subsets)
+    report = certify_pair(M, N, args.m)
     _emit(
         {
             "m": report.m,
@@ -213,32 +213,33 @@ def cmd_higgs(args) -> int:
 _VARIANTS = ["full", "tipless", "baseless", "tipless-baseless"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--max-subsets",
-        type=int,
-        default=DEFAULT_MAX_SUBSETS,
-        help="largest subset enumeration allowed (default 2^25)",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, invalid input; argparse's own 2 is the code
+    this command uses for unequal objects and failed legs."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="freecone",
         description="Exact matroid computations around the free multiple cone.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check the lattice axioms")
+    p = sub.add_parser("validate", help="check the lattice axioms")
     p.add_argument("file")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("cone", parents=[common], help="build a free multiple cone")
+    p = sub.add_parser("cone", help="build a free multiple cone")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--variant", choices=_VARIANTS, default="full")
     p.add_argument("file")
     p.set_defaults(fn=cmd_cone)
 
-    p = sub.add_parser("invariant", parents=[common], help="compute an invariant")
+    p = sub.add_parser("invariant", help="compute an invariant")
     p.add_argument(
         "--kind",
         required=True,
@@ -249,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "transfer",
-        parents=[common],
         help="cone invariant from source data alone, no cone built",
     )
     p.add_argument("--what", required=True, choices=["catenary", "tutte"])
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reconstruct",
-        parents=[common],
         help="recover the source matroid from a cone configuration",
     )
     p.add_argument("--variant", choices=_VARIANTS, default="full")
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(fn=cmd_reconstruct)
 
-    p = sub.add_parser("compare", parents=[common], help="compare an invariant of two matroids")
+    p = sub.add_parser("compare", help="compare an invariant of two matroids")
     p.add_argument(
         "--kind", required=True, choices=["g", "catenary", "tutte", "src", "config"]
     )
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "certify-pair",
-        parents=[common],
         help="certify equal invariants and different cone configurations",
     )
     p.add_argument("--m", type=int, required=True)
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.set_defaults(fn=cmd_certify_pair)
 
-    p = sub.add_parser("higgs", parents=[common], help="free one-step rank lift")
+    p = sub.add_parser("higgs", help="free one-step rank lift")
     p.add_argument("file")
     p.set_defaults(fn=cmd_higgs)
     return parser

@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import zlattice
-from .core import Matroid, as_mask, bit_members, matroid_from_rank_oracle
+from .core import Matroid, as_mask, bit_members, from_cyclic_flats
 from .errors import AxiomViolation, SourceHasLoops, ValidationError
 
 __all__ = [
@@ -149,12 +149,15 @@ def variant(Q: ConeMatroid, kind) -> Matroid:
 
 
 def higgs_lift(M: Matroid) -> Matroid:
-    """The matroid with rank function min(r(X) + 1, |X|)."""
-    return matroid_from_rank_oracle(
-        M.n,
-        lambda x: min(M.rank_mask(x) + 1, x.bit_count()),
-        names=M.names,
-    )
+    """The matroid with rank function min(r(X) + 1, |X|), built from the
+    cyclic flats of M.
+
+    The lift is the dual of the truncation of the dual, so its cyclic flats
+    are the empty set with rank 0 and each cyclic flat Z of M with
+    |Z| - r(Z) >= 2, its rank raised by one.
+    """
+    entries = [(0, 0)] + [(z, r + 1) for z, r in M.zf if z.bit_count() - r >= 2]
+    return from_cyclic_flats(entries, M.n, names=M.names)
 
 
 def is_flat_in_cone(Q: ConeMatroid, F) -> bool:

@@ -1,14 +1,15 @@
 """Invariant computations: G-invariant, catenary data, Tutte polynomial,
 characteristic polynomial, size-rank-coloop data, and flag streams.
 
-Catenary data counts chains in the flat lattice, and the G-invariant is
-derived from those flag counts (Bonin and Kung 2018) with no permutation
-enumerated; Tutte, characteristic and size-rank-coloop data come from
-subset expansion.  The transfer module reproduces several of these from
-source data alone, and the test suite holds them equal to the direct
-computations and to brute-force oracles.  Counts are exact ints; numpy is
-used only as a fast exact integer engine (int64 with bounded values,
-never floats).
+Everything follows the flat lattice, and each invariant is derived from
+data known to determine it: catenary data counts chains of flats; the
+G-invariant is derived from those flag counts (Bonin and Kung 2018) with
+no permutation enumerated; the size-rank-coloop data is solved from the
+G-invariant; and the Tutte and characteristic polynomials come from its
+(size, rank) marginal.  No subset of the ground set is scanned.  The
+transfer module reproduces several of these from source data alone, and
+the test suite holds them equal to the direct computations and to
+brute-force oracles.  Counts are exact ints.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Matroid, as_mask
-from .errors import AllCollapse, GroundSetTooLarge, ValidationError
+from .errors import AllCollapse, InconsistentSystem, ValidationError
 
 __all__ = [
     "GInvariant",
@@ -31,19 +30,10 @@ __all__ = [
     "tutte",
     "characteristic",
     "src_data",
+    "src_from_g",
     "flags",
     "flags_of_deletion",
-    "DEFAULT_MAX_SUBSETS",
 ]
-
-DEFAULT_MAX_SUBSETS = 1 << 25
-
-_PC16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.int64)
-
-
-def _popcount64(a: np.ndarray) -> np.ndarray:
-    # masks stay below 2^32 here; two table lookups cover them
-    return _PC16[a & 0xFFFF] + _PC16[(a >> 16) & 0xFFFF]
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +179,6 @@ def _nonzero(d: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# rank tables (numpy, exact)
-
-
-def _check_subset_bound(n: int, max_subsets: int, what: str):
-    if n > 32 or (1 << n) > max_subsets:
-        raise GroundSetTooLarge(
-            f"{what} needs 2^{n} subsets, above the allowed {max_subsets}"
-        )
-
-
-def _rank_table(M: Matroid, max_subsets: int) -> np.ndarray:
-    """ranks of every subset as a uint8 array indexed by bitmask."""
-    _check_subset_bound(M.n, max_subsets, "rank table")
-    N = 1 << M.n
-    table = np.empty(N, dtype=np.uint8)
-    chunk = 1 << 22
-    zneg = [(np.int64(zn), rz) for zn, rz in M._zneg]
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        best = np.full(hi - lo, M.n + 1, dtype=np.int64)
-        for zn, rz in zneg:
-            np.minimum(best, rz + _popcount64(masks & zn), out=best)
-        table[lo:hi] = best.astype(np.uint8)
-    return table
-
-
-# ---------------------------------------------------------------------------
 # flags and catenary data
 
 
@@ -343,29 +305,6 @@ def g_invariant(M: Matroid) -> GInvariant:
 # Tutte, characteristic, size-rank-coloop
 
 
-def _size_rank_counts(M: Matroid, max_subsets: int) -> dict:
-    """{(size, rank): count} over all subsets, via the numpy rank table."""
-    table = _rank_table(M, max_subsets)
-    n, k = M.n, M.rank_int
-    N = 1 << n
-    width = k + 1
-    acc = np.zeros((n + 1) * width, dtype=np.int64)
-    chunk = 1 << 22
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        sizes = _popcount64(masks)
-        combined = sizes * width + table[lo:hi].astype(np.int64)
-        acc += np.bincount(combined, minlength=(n + 1) * width)
-    out = {}
-    for s in range(n + 1):
-        for r in range(width):
-            v = int(acc[s * width + r])
-            if v:
-                out[s, r] = v
-    return out
-
-
 def tutte_from_size_rank(mu: dict, K: int) -> TuttePolynomial:
     """Expand sum over subsets of (x-1)^(K-r) (y-1)^(s-r) given the
     size-rank counts; exact integer binomial expansion."""
@@ -380,16 +319,76 @@ def tutte_from_size_rank(mu: dict, K: int) -> TuttePolynomial:
     return TuttePolynomial(_nonzero(coeffs))
 
 
-def tutte(M: Matroid, max_subsets: int = DEFAULT_MAX_SUBSETS) -> TuttePolynomial:
-    """Tutte polynomial by subset expansion."""
-    mu = _size_rank_counts(M, max_subsets)
+
+
+def src_from_g(g: GInvariant) -> SrcData:
+    """Invert the permutation count: for each prefix size s and rank t,
+    the number of permutations whose length-s prefix has rank t and ends
+    in at least c rank rises is c!(s-c)!(n-s)! times a triangular sum of
+    subset counts by exact coloop number; solve top-down in c."""
+    n = g.n
+    gcount: dict = {}
+    for key, w in g.counts.items():
+        if not w:
+            continue
+        ones = 0
+        run = 0
+        for s in range(n + 1):
+            if s:
+                if key[s - 1] == "1":
+                    ones += 1
+                    run += 1
+                else:
+                    run = 0
+            for c in range(run + 1):
+                k = (s, ones, c)
+                gcount[k] = gcount.get(k, 0) + w
+    counts: dict = {}
+    total = 0
+    pairs = sorted({(s, t) for (s, t, _) in gcount})
+    for s, t in pairs:
+        solved: dict[int, int] = {}
+        for c in range(s, -1, -1):
+            lhs = gcount.get((s, t, c), 0)
+            denom = math.factorial(c) * math.factorial(s - c) * math.factorial(n - s)
+            if lhs % denom:
+                raise InconsistentSystem(
+                    f"count for prefix ({s},{t},{c}) is not divisible by {denom}"
+                )
+            val = lhs // denom - sum(
+                solved[c2] * math.comb(c2, c) for c2 in range(c + 1, s + 1)
+            )
+            if val < 0:
+                raise InconsistentSystem(
+                    f"negative subset count at ({s},{t},{c})"
+                )
+            solved[c] = val
+            if val:
+                counts[s, t, c] = val
+                total += val
+    if total != 1 << n:
+        raise InconsistentSystem("solved subset counts do not sum to 2^n")
+    return SrcData(n, counts)
+
+
+def src_data(M: Matroid) -> SrcData:
+    """Counts of (|S|, r(S), #coloops of M|S) over all 2^n subsets, from
+    the G-invariant, which determines them (src_from_g)."""
+    return src_from_g(g_invariant(M))
+
+
+def tutte(M: Matroid) -> TuttePolynomial:
+    """Tutte polynomial from the (size, rank) marginal of src_data."""
+    mu: dict = {}
+    for (s, r, _), c in src_data(M).counts.items():
+        mu[s, r] = mu.get((s, r), 0) + c
     return tutte_from_size_rank(mu, M.rank_int)
 
 
-def characteristic(M: Matroid, max_subsets: int = DEFAULT_MAX_SUBSETS) -> list[int]:
+def characteristic(M: Matroid) -> list[int]:
     """Coefficients of the characteristic polynomial, ascending degree:
     (-1)^rank * T(1-x, 0)."""
-    T = tutte(M, max_subsets)
+    T = tutte(M)
     K = M.rank_int
     acc = [0] * (K + 1)
     for (i, j), c in T.coeffs.items():
@@ -399,37 +398,3 @@ def characteristic(M: Matroid, max_subsets: int = DEFAULT_MAX_SUBSETS) -> list[i
             acc[d] += c * math.comb(i, d) * (-1) ** d
     sign = (-1) ** K
     return [sign * v for v in acc]
-
-
-def src_data(M: Matroid, max_subsets: int = DEFAULT_MAX_SUBSETS) -> SrcData:
-    """Counts of (|S|, r(S), #coloops of M|S) over all 2^n subsets."""
-    table = _rank_table(M, max_subsets)
-    n, k = M.n, M.rank_int
-    N = 1 << n
-    tdim = k + 1
-    cdim = n + 1
-    acc = np.zeros((n + 1) * tdim * cdim, dtype=np.int64)
-    chunk = 1 << 22
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        ranks = table[lo:hi].astype(np.int64)
-        sizes = _popcount64(masks)
-        coloops = np.zeros(hi - lo, dtype=np.int64)
-        for e in range(n):
-            bit = np.int64(1 << e)
-            has = (masks & bit) != 0
-            if not has.any():
-                continue
-            dropped = table[(masks ^ bit)].astype(np.int64)
-            coloops += (has & (dropped + 1 == ranks)).astype(np.int64)
-        combined = (sizes * tdim + ranks) * cdim + coloops
-        acc += np.bincount(combined, minlength=(n + 1) * tdim * cdim)
-    counts = {}
-    for s in range(n + 1):
-        for t in range(tdim):
-            for c in range(cdim):
-                v = int(acc[(s * tdim + t) * cdim + c])
-                if v:
-                    counts[s, t, c] = v
-    return SrcData(n, counts)

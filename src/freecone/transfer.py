@@ -1,12 +1,14 @@
 """Maps between source-matroid data and cone data, and back.
 
-Four pipelines live here: the explicit bijection between decorated flags
+Three pipelines live here: the explicit bijection between decorated flags
 of M and flags of the cone (and the catenary transfer formulas derived
 from it), reconstruction of the Tutte polynomial of a cone or variant
-from size-rank-coloop data of the source, recovery of size-rank-coloop
-data from the G-invariant, and reconstruction of the source matroid from
-the configuration of a cone or variant.  Each pipeline is held equal to
-the direct computation in the test suite.
+from size-rank-coloop data of the source, and reconstruction of the
+source matroid from the configuration of a cone or variant.  Each
+pipeline is held equal to the direct computation in the test suite.
+Recovery of size-rank-coloop data from the G-invariant (src_from_g) lives
+in the invariants module, which derives src_data from it; it is exported
+here too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from functools import lru_cache
 
 from .catalog import rank_two
 from .cone import ConeMatroid, VariantKind, free_m_cone, variant
-from .core import Matroid, bit_members, from_cyclic_flats, is_isomorphic, matroid_from_rank_oracle
+from .core import (
+    ISOMORPHISM_BOUND,
+    Matroid,
+    bit_members,
+    from_cyclic_flats,
+    is_isomorphic,
+    matroid_from_rank_oracle,
+)
 from .errors import (
     GroundSetTooLarge,
     InconsistentSystem,
@@ -30,7 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .invariants import (
-    DEFAULT_MAX_SUBSETS,
     CatenaryData,
     GInvariant,
     SrcData,
@@ -38,7 +46,7 @@ from .invariants import (
     catenary_data,
     flags,
     g_invariant,
-    src_data,
+    src_from_g,
     tutte_from_size_rank,
 )
 from .zlattice import Configuration, configuration
@@ -356,60 +364,6 @@ def tutte_of_cone_from_src(src: SrcData, m: int, kind) -> TuttePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# src data from the G-invariant
-
-
-def src_from_g(g: GInvariant) -> SrcData:
-    """Invert the permutation count: for each prefix size s and rank t,
-    the number of permutations whose length-s prefix has rank t and ends
-    in at least c rank rises is c!(s-c)!(n-s)! times a triangular sum of
-    subset counts by exact coloop number; solve top-down in c."""
-    n = g.n
-    gcount: dict = {}
-    for key, w in g.counts.items():
-        if not w:
-            continue
-        ones = 0
-        run = 0
-        for s in range(n + 1):
-            if s:
-                if key[s - 1] == "1":
-                    ones += 1
-                    run += 1
-                else:
-                    run = 0
-            for c in range(run + 1):
-                k = (s, ones, c)
-                gcount[k] = gcount.get(k, 0) + w
-    counts: dict = {}
-    total = 0
-    pairs = sorted({(s, t) for (s, t, _) in gcount})
-    for s, t in pairs:
-        solved: dict[int, int] = {}
-        for c in range(s, -1, -1):
-            lhs = gcount.get((s, t, c), 0)
-            denom = math.factorial(c) * math.factorial(s - c) * math.factorial(n - s)
-            if lhs % denom:
-                raise InconsistentSystem(
-                    f"count for prefix ({s},{t},{c}) is not divisible by {denom}"
-                )
-            val = lhs // denom - sum(
-                solved[c2] * math.comb(c2, c) for c2 in range(c + 1, s + 1)
-            )
-            if val < 0:
-                raise InconsistentSystem(
-                    f"negative subset count at ({s},{t},{c})"
-                )
-            solved[c] = val
-            if val:
-                counts[s, t, c] = val
-                total += val
-    if total != 1 << n:
-        raise InconsistentSystem("solved subset counts do not sum to 2^n")
-    return SrcData(n, counts)
-
-
-# ---------------------------------------------------------------------------
 # reconstruction from cone configurations
 
 _KIND_MIN_M = {
@@ -662,17 +616,30 @@ def _first_difference(da: dict, db: dict):
     return None
 
 
-def _g_agrees_with_subsets(g: GInvariant, M: Matroid, max_subsets: int) -> bool:
+def _scanned_src(M: Matroid) -> SrcData:
+    """Size-rank-coloop counts by scanning every subset with the cyclic-flat
+    rank formula: independent of the flag counts that G is derived from."""
+    if M.n > ISOMORPHISM_BOUND:
+        raise GroundSetTooLarge(
+            f"the subset scan of certify-pair is supported up to n={ISOMORPHISM_BOUND}, "
+            f"got n={M.n}"
+        )
+    counts: dict = {}
+    for x in range(1 << M.n):
+        key = (x.bit_count(), M.rank_mask(x), M.coloops_of_restriction_mask(x).bit_count())
+        counts[key] = counts.get(key, 0) + 1
+    return SrcData(M.n, counts)
+
+
+def _g_agrees_with_subsets(g: GInvariant, M: Matroid) -> bool:
     """Whether the src data that g determines equals a scan of M's subsets."""
     try:
-        return src_from_g(g) == src_data(M, max_subsets=max_subsets)
+        return src_from_g(g) == _scanned_src(M)
     except InconsistentSystem:
         return False
 
 
-def certify_pair(
-    M: Matroid, N: Matroid, m: int, max_subsets: int = DEFAULT_MAX_SUBSETS
-) -> CertificateReport:
+def certify_pair(M: Matroid, N: Matroid, m: int) -> CertificateReport:
     report = CertificateReport(m=m)
 
     perm = is_isomorphic(M, N)
@@ -689,7 +656,7 @@ def certify_pair(
     cm, cn = catenary_data(M), catenary_data(N)
     # G is derived from the flag counts; the independent check holds the src
     # data that G determines equal to a scan of all 2^n subsets of the source
-    if not all(_g_agrees_with_subsets(g, S, max_subsets) for g, S in ((gm, M), (gn, N))):
+    if not all(_g_agrees_with_subsets(g, S) for g, S in ((gm, M), (gn, N))):
         report.oracle_ok = False
     gdiff = None if gm == gn else _first_difference(gm.counts, gn.counts)
     cdiff = None if cm == cn else _first_difference(cm.counts, cn.counts)

@@ -234,16 +234,62 @@ def test_higgs_output_is_a_valid_matroid(tmp_path, capsys):
 
 
 def test_size_bound_exit_code(tmp_path, capsys):
-    big = _write(tmp_path, "big.json", matroid_to_document(uniform(1, 11)))
-    code, _, err = _run(capsys, ["invariant", "--kind", "tutte", "--max-subsets", "1024", big])
+    a = _write(tmp_path, "a.json", matroid_to_document(uniform(3, 11)))
+    b = _write(tmp_path, "b.json", matroid_to_document(uniform(4, 11)))
+    code, _, err = _run(capsys, ["certify-pair", "--m", "1", a, b])
     assert code == 3
     assert "size bound" in err
 
-    # the subset-scan cross-check of certify-pair honours the same bound
-    pair = ["certify-pair", "--m", "1", "--max-subsets", "32", _m1(tmp_path), _m2(tmp_path)]
-    code, _, err = _run(capsys, pair)
+    names = [f"e{i}" for i in range(17)]
+    bases = _write(tmp_path, "u1-17.json", {"ground_set": names, "bases": [[e] for e in names]})
+    code, _, err = _run(capsys, ["validate", bases])
     assert code == 3
     assert "size bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--kind", "g", "--threads", "2"],
+        ["invariant", "--kind", "tutte", "--max-subsets", "1024"],
+        ["cone"],
+    ],
+    ids=["unknown-flag", "max-subsets", "missing-m"],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [_m1(tmp_path)])
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert out.err.startswith("usage: freecone")
+
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+
+
+def test_higgs_above_16_elements(tmp_path, capsys):
+    M = uniform(3, 17)
+    code, out, _ = _run(capsys, ["higgs", _write(tmp_path, "u.json", matroid_to_document(M))])
+    assert code == 0
+    assert json.loads(out) == matroid_to_document(uniform(4, 17))
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, freecone.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_parse_error_reports_position(tmp_path, capsys):

@@ -15,11 +15,12 @@ from freecone import (
     higgs_lift,
     is_flat_in_cone,
     is_isomorphic,
+    matroid_from_rank_oracle,
     p,
     q,
     variant,
 )
-from freecone.catalog import example_pair, fixture_matroids, uniform
+from freecone.catalog import example_pair, fixture_matroids, separating_pair, uniform
 
 FIXTURES = fixture_matroids()
 
@@ -125,6 +126,28 @@ def test_higgs_lift_matches_tipless_baseless_single_cone():
         got = variant(free_m_cone(M, 1), VariantKind.TIPLESS_BASELESS)
         lift = higgs_lift(M)
         assert is_isomorphic(got, lift) is not None, name
+
+
+def test_higgs_lift_matches_the_rank_function_definition():
+    def by_definition(M):
+        return matroid_from_rank_oracle(
+            M.n, lambda x: min(M.rank_mask(x) + 1, x.bit_count()), names=M.names
+        )
+
+    looped = [
+        from_cyclic_flats([(0b1, 0), (0b111, 1)], 4),  # a loop, a parallel pair, a coloop
+        from_cyclic_flats([(0b11, 0), (0b11111, 2)], 6),  # two loops, a coloop
+        from_cyclic_flats([(0b111, 0)], 3),  # all loops
+    ]
+    pool = [M for _, M in FIXTURES] + list(example_pair() + separating_pair()) + looped
+    for M in pool:
+        lift = higgs_lift(M)
+        assert lift == by_definition(M), M
+        assert lift.names == M.names
+        # lifts of lifts, up to the free matroid
+        twice = higgs_lift(lift)
+        assert twice == by_definition(lift), M
+        assert higgs_lift(twice) == by_definition(twice), M
 
 
 def test_higgs_lift_of_uniform_bumps_the_rank():

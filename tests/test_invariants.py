@@ -14,13 +14,15 @@ from freecone import (
     SrcData,
     TuttePolynomial,
     catenary_data,
+    certify_pair,
     characteristic,
     flags,
     flags_of_deletion,
     free_m_cone,
+    from_bases,
+    from_cyclic_flats,
     g_invariant,
     src_data,
-    src_from_g,
     tutte,
     tutte_from_size_rank,
     variant,
@@ -29,14 +31,44 @@ from freecone.catalog import example_pair, fixture_matroids, separating_pair, un
 
 from oracles import (
     catenary_counts,
+    characteristic_coeffs,
     g_counts,
     rank_from_bases,
     src_counts,
+    src_scan,
     tutte_coeffs,
 )
 
 FIXTURES = fixture_matroids()
 SMALL = [(name, M) for name, M in FIXTURES if 0 < M.n <= 5]
+
+
+def _with_loops_and_coloops(M, loops, coloops):
+    """M with `loops` loops and `coloops` coloops added after its elements:
+    the loops join every cyclic flat, the coloops none."""
+    lmask = ((1 << loops) - 1) << M.n
+    return from_cyclic_flats([(z | lmask, r) for z, r in M.zf], M.n + loops + coloops)
+
+
+# every fixture (n <= 6), both pairs, and loop and coloop extensions up to
+# 8 elements, the all-loop matroids among them
+ORACLE_POOL = (
+    FIXTURES
+    + list(zip(("m1", "m2", "n1", "n2"), example_pair() + separating_pair()))
+    + [
+        (f"{name}+{a}L+{b}C", _with_loops_and_coloops(M, a, b))
+        for name, M in FIXTURES
+        for a, b in ((1, 0), (2, 0), (0, 1), (1, 2), (3, 0))
+        if M.n + a + b <= 8
+    ]
+)
+
+
+def _size_rank(src_counts_: dict) -> dict:
+    mu: dict = {}
+    for (s, r, _), c in src_counts_.items():
+        mu[s, r] = mu.get((s, r), 0) + c
+    return mu
 
 
 def test_g_invariant_of_the_example_pair():
@@ -62,12 +94,14 @@ def test_g_invariant_matches_permutation_oracle():
      ("m2", 2, "tipless")],
 )
 def test_g_invariant_of_cones_matches_subset_scan(source, m, kind):
-    # 13 to 19 elements: out of the permutation oracle's reach
+    # 13 to 19 elements: out of the permutation and bases oracles' reach,
+    # so src data and Tutte, both derived from G, are held to the numpy scan
     sources = dict(zip(("m1", "m2", "n1", "n2"), example_pair() + separating_pair()))
     Q = variant(free_m_cone(sources[source], m), kind)
-    g = g_invariant(Q)
-    assert sum(g.counts.values()) == math.factorial(Q.n)
-    assert src_from_g(g) == src_data(Q)
+    assert sum(g_invariant(Q).counts.values()) == math.factorial(Q.n)
+    scan = src_scan(Q)
+    assert src_data(Q).counts == scan
+    assert tutte(Q) == tutte_from_size_rank(_size_rank(scan), Q.rank_int)
 
 
 def test_g_invariant_total_is_factorial():
@@ -131,9 +165,15 @@ def test_tutte_of_u23_and_example():
 
 
 def test_tutte_matches_corank_nullity_oracle():
-    for name, M in SMALL:
+    for name, M in ORACLE_POOL:
         oracle = tutte_coeffs(M.n, rank_from_bases(M.bases_masks()))
         assert tutte(M).coeffs == oracle, name
+
+
+def test_characteristic_matches_whitney_oracle():
+    for name, M in ORACLE_POOL:
+        oracle = characteristic_coeffs(M.n, rank_from_bases(M.bases_masks()))
+        assert characteristic(M) == oracle, name
 
 
 def test_tutte_evaluations_count_spanning_and_all_subsets():
@@ -168,27 +208,27 @@ def test_src_of_u23():
 
 
 def test_src_matches_subset_oracle():
-    for name, M in SMALL:
+    for name, M in ORACLE_POOL:
         oracle = src_counts(M.n, rank_from_bases(M.bases_masks()))
         assert src_data(M).counts == oracle, name
+        assert src_scan(M) == oracle, name
 
 
 def test_src_totals_and_tutte_reconstruction():
     for name, M in FIXTURES:
         src = src_data(M)
         assert sum(src.counts.values()) == 1 << M.n, name
-        mu = {(s, t): 0 for s, t, _ in src.counts}
-        for (s, t, _), c in src.counts.items():
-            mu[s, t] += c
-        assert tutte_from_size_rank(mu, M.rank_int) == tutte(M), name
+        assert tutte_from_size_rank(_size_rank(src_scan(M)), M.rank_int) == tutte(M), name
 
 
 def test_size_bounds_on_subset_enumerations():
-    big = uniform(2, 6)
+    # the subset scan that certify_pair checks G against; sources of
+    # different sizes get past the isomorphism search and its own bound
     with pytest.raises(GroundSetTooLarge):
-        tutte(big, max_subsets=32)
+        certify_pair(uniform(3, 11), uniform(3, 12), 1)
+    # rank-oracle extraction from a list of bases
     with pytest.raises(GroundSetTooLarge):
-        src_data(big, max_subsets=32)
+        from_bases([1 << e for e in range(17)], 17)
 
 
 def test_invariant_value_validation():

@@ -32,7 +32,9 @@ from freecone import (
     tutte_of_cone_from_src,
     variant,
 )
-from freecone.catalog import example_pair, fixture_matroids, uniform
+from freecone.catalog import example_pair, fixture_matroids, separating_pair, uniform
+
+from oracles import rank_from_bases, src_counts
 
 FIXTURES = fixture_matroids()
 KINDS = list(VariantKind)
@@ -142,6 +144,15 @@ def test_tutte_transfer_matches_direct_on_the_example():
             assert tutte_of_cone_from_src(src, m, kind) == want, (kind, m)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_tutte_transfer_matches_direct_on_large_cones(kind):
+    # the 2-cones of the separating pair (14 to 22 elements) and of U(3,11)
+    # (22 to 34 elements): beyond the reach of any subset scan
+    for M in separating_pair() + (uniform(3, 11),):
+        want = tutte(variant(free_m_cone(M, 2), kind))
+        assert tutte_of_cone_from_src(src_data(M), 2, kind) == want, M
+
+
 def test_tutte_transfer_rejects_malformed_src():
     with pytest.raises(MalformedSrc):
         tutte_of_cone_from_src(SrcData(2, {(0, 0, 0): 1}), 1, VariantKind.FULL)
@@ -168,15 +179,19 @@ def test_tutte_transfer_equivalence_sampled(M, m, kind):
 # g to src
 
 
+def _oracle_src(M):
+    return SrcData(M.n, src_counts(M.n, rank_from_bases(M.bases_masks())))
+
+
 def test_src_from_g_on_the_triangle():
-    assert src_from_g(g_invariant(uniform(2, 3))) == src_data(uniform(2, 3))
+    assert src_from_g(g_invariant(uniform(2, 3))) == _oracle_src(uniform(2, 3))
 
 
 def test_src_from_g_on_every_small_fixture():
     for name, M in FIXTURES:
         if M.n == 0:
             continue
-        assert src_from_g(g_invariant(M)) == src_data(M), name
+        assert src_from_g(g_invariant(M)) == _oracle_src(M), name
 
 
 def test_src_from_g_rejects_inconsistent_counts():
