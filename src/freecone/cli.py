@@ -11,6 +11,7 @@ failed).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cone import VariantKind, free_m_cone, higgs_lift, variant
@@ -290,8 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call of `main`: a
+    parse leaves no state in it, and building it costs as much as a small job."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

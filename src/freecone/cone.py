@@ -61,8 +61,9 @@ class ConeMatroid(Matroid):
 
     Element ids: the source element e keeps id e; its j-th fiber
     (j = 1..m) has id n + e*m + (j-1); the tip has id (m+1)*n.  Names
-    follow the same scheme: fibers of element "x" are "x#1".."x#m" and
-    the tip is "@tip".
+    follow :func:`_cone_names`: fibers of element "x" are "x#1".."x#m"
+    and the tip is "@tip", with the separator and the prefix doubled until
+    no new name is already a source name.
     """
 
     __slots__ = ("m", "source", "tip_id", "base_mask", "fiber_mask")
@@ -108,6 +109,24 @@ def p(Q: ConeMatroid, s) -> set[int]:
     return set(bit_members(Q.p_mask(as_mask(s))))
 
 
+def _cone_names(names, m: int) -> list[str]:
+    """Fiber names "x" + "#"*k + "j" and the tip name "@"*k' + "tip", with
+    k and k' the least counts that miss every source name.
+
+    The new names are distinct among themselves: the trailing digits of a
+    fiber name give j, the separator before them gives x, and the tip ends
+    in a letter.  Sources without "#" or "@tip" names keep "x#j" and "@tip".
+    """
+    taken = set(names)
+    sep = "#"
+    while any(f"{x}{sep}{j}" in taken for x in names for j in range(1, m + 1)):
+        sep += "#"
+    tip = "@tip"
+    while tip in taken:
+        tip = "@" + tip
+    return [f"{x}{sep}{j}" for x in names for j in range(1, m + 1)] + [tip]
+
+
 def free_m_cone(M: Matroid, m: int, validate: bool = True) -> ConeMatroid:
     """Build Q_m(M) from its cyclic-flat description directly."""
     if m < 1:
@@ -116,9 +135,7 @@ def free_m_cone(M: Matroid, m: int, validate: bool = True) -> ConeMatroid:
         raise SourceHasLoops("the cone construction requires a loopless source")
     n = M.n
     nq = (m + 1) * n + 1
-    names = list(M.names) + [
-        f"{M.names[e]}#{j}" for e in range(n) for j in range(1, m + 1)
-    ] + ["@tip"]
+    names = list(M.names) + _cone_names(M.names, m)
 
     entries = list(M.zf)
     for rk, level in enumerate(M.flats_by_rank()):

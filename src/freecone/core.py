@@ -27,7 +27,7 @@ import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 from ._bits import as_mask, bit_members
-from .errors import AxiomViolation, GroundSetTooLarge, NotABasisSystem
+from .errors import AxiomViolation, GroundSetTooLarge, NotABasisSystem, ValidationError
 from .zlattice import validate_axioms
 
 __all__ = [
@@ -74,8 +74,11 @@ class Matroid:
             names = tuple(str(e) for e in range(n))
         else:
             names = tuple(names)
-        if len(names) != n or len(set(names)) != n:
-            raise ValueError("need n distinct element names")
+        if len(names) != n:
+            raise ValueError("need n element names")
+        if len(set(names)) != n:
+            dup = next(x for i, x in enumerate(names) if x in names[:i])
+            raise ValidationError(f"element name {dup!r} appears twice")
         self.names = names
         self._full = (1 << n) - 1
         self._zneg = tuple((self._full & ~z, r) for z, r in self.zf)

@@ -374,18 +374,6 @@ _KIND_MIN_M = {
 }
 
 
-def _family_join(cfg: Configuration, fam) -> int | None:
-    ups = [
-        u
-        for u in range(len(cfg))
-        if all(cfg.leq(l, u) for l in fam)
-    ]
-    mins = [u for u in ups if not any(v != u and cfg.leq(v, u) for v in ups)]
-    if len(mins) == 1:
-        return mins[0]
-    return None
-
-
 def _find_line_family(cfg: Configuration) -> list[int]:
     """The unique maximum family of rank-2 nodes with at most one node
     below each member, pairwise joins of rank 3, and overall join the top."""
@@ -404,7 +392,7 @@ def _find_line_family(cfg: Configuration) -> list[int]:
     def extend(clique: list[int], rest: list[int]):
         nonlocal best
         if not rest:
-            if clique and _family_join(cfg, clique) == cfg.top:
+            if clique and cfg.join(*clique) == cfg.top:
                 if not best or len(clique) > len(best[0]):
                     best = [clique[:]]
                 elif len(clique) == len(best[0]):
@@ -420,6 +408,7 @@ def _find_line_family(cfg: Configuration) -> list[int]:
         extend(clique, rest[1:])
 
     extend([], cand)
+    del extend  # a recursive closure is a cycle that would keep cfg alive
     if not best:
         raise NotAConeConfiguration(
             "no family of rank-2 nodes has rank-3 pairwise joins meeting the top"

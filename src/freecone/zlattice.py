@@ -28,7 +28,6 @@ __all__ = [
     "cyclic_flats",
     "Configuration",
     "configuration",
-    "configurations_equal",
 ]
 
 
@@ -47,28 +46,25 @@ class ValidationReport:
     message: str = ""
 
 
-def _join_index(ms: list[int], x: int, y: int) -> Optional[int]:
-    u = x | y
-    cands = [k for k, m in enumerate(ms) if m & u == u]
-    if not cands:
-        return None
-    best = min(cands, key=lambda k: (ms[k].bit_count(), ms[k]))
-    for k in cands:
-        if ms[best] & ms[k] != ms[best]:
-            return None
-    return best
+def _order_masks(ms: list[int]) -> tuple[list[int], list[int]]:
+    """Up-sets and down-sets of distinct masks sorted by (size, mask).
 
-
-def _meet_index(ms: list[int], x: int, y: int) -> Optional[int]:
-    u = x & y
-    cands = [k for k, m in enumerate(ms) if m & u == m]
-    if not cands:
-        return None
-    best = max(cands, key=lambda k: (ms[k].bit_count(), -ms[k]))
-    for k in cands:
-        if ms[k] & ms[best] != ms[k]:
-            return None
-    return best
+    Bit j of up[i] is set when ms[j] contains ms[i], and bit j of down[i]
+    when ms[j] lies inside ms[i]; both hold i itself.  A proper superset has
+    more elements, so it sorts later and only the pairs i < j are tested.
+    """
+    t = len(ms)
+    up = [1 << i for i in range(t)]
+    down = up[:]
+    for i, x in enumerate(ms):
+        bit = 1 << i
+        row = bit
+        for j in range(i + 1, t):
+            if ms[j] & x == x:
+                row |= 1 << j
+                down[j] |= bit
+        up[i] = row
+    return up, down
 
 
 def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport:
@@ -78,6 +74,9 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
     rank) pairs.  With `incomparable_only`, (Z3) is checked only on
     incomparable pairs; comparable pairs satisfy it identically, so both
     modes accept the same families.
+
+    Every order query reads the up-sets and down-sets of `_order_masks`, so
+    the check takes O(t^2) operations on t-bit masks for t members.
     """
     if isinstance(family, dict):
         items = family.items()
@@ -98,26 +97,28 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
     t = len(ms)
     if t == 0:
         return ValidationReport(False, "Z0", (), "the family is empty, so it is not a lattice")
+    up, down = _order_masks(ms)
 
-    # Z0: pairwise joins and meets must exist inside the family
-    joins: dict[tuple[int, int], int] = {}
-    meets: dict[tuple[int, int], int] = {}
+    # Z0: pairwise joins and meets must exist inside the family.  The
+    # common upper bounds of i and j are c = up[i] & up[j]; their first
+    # member k has the least (size, mask), and the join exists iff every
+    # bound contains it, that is up[k] == c.  Meets mirror this on down-sets
+    # with the last member.
     for i in range(t):
+        ui, di = up[i], down[i]
         for j in range(i + 1, t):
-            ji = _join_index(ms, ms[i], ms[j])
-            if ji is None:
+            c = ui & up[j]
+            if not c or up[(c & -c).bit_length() - 1] != c:
                 return ValidationReport(
                     False, "Z0", _witness(ms[i], ms[j]),
                     f"{_fmt(ms[i])} and {_fmt(ms[j])} have no join in the family",
                 )
-            mi = _meet_index(ms, ms[i], ms[j])
-            if mi is None:
+            c = di & down[j]
+            if not c or down[c.bit_length() - 1] != c:
                 return ValidationReport(
                     False, "Z0", _witness(ms[i], ms[j]),
                     f"{_fmt(ms[i])} and {_fmt(ms[j])} have no meet in the family",
                 )
-            joins[i, j] = ji
-            meets[i, j] = mi
 
     # Z1: the least member has rank 0 (with Z0 it is the smallest mask)
     bottom = ms[0]
@@ -129,10 +130,9 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
 
     # Z2: strict rank increase, strictly slower than cardinality
     for i in range(t):
-        for j in range(t):
-            x, y = ms[i], ms[j]
-            if x == y or x & y != x:
-                continue
+        x = ms[i]
+        for j in bit_members(up[i] ^ 1 << i):
+            y = ms[j]
             dr = ranks[y] - ranks[x]
             dc = (y & ~x).bit_count()
             if not 0 < dr < dc:
@@ -143,12 +143,14 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
 
     # Z3: submodularity with the meet-defect term
     for i in range(t):
+        x, ui, di = ms[i], up[i], down[i]
         for j in range(i + 1, t):
-            x, y = ms[i], ms[j]
-            if incomparable_only and (x & y == x or x & y == y):
+            if incomparable_only and ui >> j & 1:
                 continue
-            jv = ms[joins[i, j]]
-            mv = ms[meets[i, j]]
+            y = ms[j]
+            c = ui & up[j]
+            jv = ms[(c & -c).bit_length() - 1]
+            mv = ms[(di & down[j]).bit_length() - 1]
             defect = ((x & y) & ~mv).bit_count()
             lhs = ranks[jv] + ranks[mv] + defect
             rhs = ranks[x] + ranks[y]
@@ -204,9 +206,10 @@ class Configuration:
         "labels",
         "covers",
         "coloop_count",
-        "_leq",
-        "_down",
         "_up",
+        "_down",
+        "_bottom",
+        "_top",
         "_cert",
         "_canon_colors",
         "_ordsets",
@@ -225,47 +228,20 @@ class Configuration:
         for s, r in labels:
             if s < 0 or r < 0:
                 raise ValidationError("node sizes and ranks must be nonnegative")
-        adj = [set() for _ in range(t)]
+        succ: list[list[int]] = [[] for _ in range(t)]
         for lo, hi in covers:
             lo, hi = int(lo), int(hi)
             if not (0 <= lo < t and 0 <= hi < t) or lo == hi:
                 raise ValidationError(f"bad cover pair ({lo}, {hi})")
-            adj[lo].add(hi)
-        # transitive closure, with cycle detection
-        leq = [1 << i for i in range(t)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(t):
-                acc = leq[i]
-                for j in adj[i]:
-                    acc |= leq[j]
-                if acc != leq[i]:
-                    leq[i] = acc
-                    changed = True
-        for i in range(t):
-            for j in adj[i]:
-                if leq[j] >> i & 1:
-                    raise ValidationError("cover relation contains a cycle")
-        # Hasse diagram = transitive reduction of the given relation
-        down = [[] for _ in range(t)]
-        up = [[] for _ in range(t)]
-        cov = []
-        for i in range(t):
-            for j in range(t):
-                if i == j or not (leq[i] >> j & 1):
-                    continue
-                direct = True
-                for k in range(t):
-                    if k != i and k != j and (leq[i] >> k & 1) and (leq[k] >> j & 1):
-                        direct = False
-                        break
-                if direct:
-                    cov.append((i, j))
-                    up[i].append(j)
-                    down[j].append(i)
-        bottoms = [i for i in range(t) if not down[i]]
-        tops = [i for i in range(t) if not up[i]]
+            succ[lo].append(hi)
+        up = _up_sets(succ)
+        down = [1 << i for i in range(t)]
+        for i, row in enumerate(up):
+            for j in bit_members(row ^ 1 << i):
+                down[j] |= 1 << i
+        cov = _covers(up, down)
+        bottoms = [i for i in range(t) if down[i] == 1 << i]
+        tops = [i for i in range(t) if up[i] == 1 << i]
         if len(bottoms) != 1 or len(tops) != 1:
             raise ValidationError("a configuration has a unique least and a unique greatest node")
         for i, j in cov:
@@ -277,11 +253,12 @@ class Configuration:
         if labels[bottoms[0]][1] != 0:
             raise ValidationError("the least node must have rank 0")
         self.labels = labels
-        self.covers = tuple(sorted(cov))
+        self.covers = tuple(cov)
         self.coloop_count = int(coloop_count)
-        self._leq = leq
-        self._down = [tuple(d) for d in down]
-        self._up = [tuple(u) for u in up]
+        self._up = up
+        self._down = down
+        self._bottom = bottoms[0]
+        self._top = tops[0]
         self._cert = None
         self._canon_colors = None
         self._ordsets = None
@@ -298,34 +275,31 @@ class Configuration:
         return self.labels[i][1]
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self._leq[i] >> j & 1)
+        return bool(self._up[i] >> j & 1)
 
     @property
     def bottom(self) -> int:
-        return next(i for i in range(len(self.labels)) if not self._down[i])
+        return self._bottom
 
     @property
     def top(self) -> int:
-        return next(i for i in range(len(self.labels)) if not self._up[i])
+        return self._top
 
     def nodes_of_rho(self, r: int) -> list[int]:
         return [i for i, (_, rr) in enumerate(self.labels) if rr == r]
 
-    def join(self, i: int, j: int) -> Optional[int]:
-        """The unique minimal common upper bound, or None if there is none."""
-        t = len(self.labels)
-        ups = [k for k in range(t) if self.leq(i, k) and self.leq(j, k)]
-        mins = [k for k in ups if not any(u != k and self.leq(u, k) for u in ups)]
-        if len(mins) == 1:
-            return mins[0]
+    def join(self, *nodes: int) -> Optional[int]:
+        """The least common upper bound of `nodes`, or None if there is none."""
+        common = (1 << len(self.labels)) - 1
+        for i in nodes:
+            common &= self._up[i]
+        for k in bit_members(common):
+            if self._up[k] == common:
+                return k
         return None
 
     def strictly_between(self, lo: int, hi: int) -> list[int]:
-        return [
-            k
-            for k in range(len(self.labels))
-            if k != lo and k != hi and self.leq(lo, k) and self.leq(k, hi)
-        ]
+        return bit_members(self._up[lo] & self._down[hi] & ~(1 << lo | 1 << hi))
 
     # -- canonical form --------------------------------------------------------
     #
@@ -338,17 +312,12 @@ class Configuration:
     # remaining leaves, hence the certificate, is unchanged.
 
     def _order_sets(self):
+        """Strict down-sets and up-sets of every node, as index lists."""
         if self._ordsets is None:
-            t = len(self.labels)
-            down = [[] for _ in range(t)]
-            up = [[] for _ in range(t)]
-            for i in range(t):
-                row = self._leq[i]
-                for j in range(t):
-                    if j != i and row >> j & 1:
-                        up[i].append(j)
-                        down[j].append(i)
-            self._ordsets = (down, up)
+            self._ordsets = tuple(
+                [bit_members(row ^ 1 << i) for i, row in enumerate(rows)]
+                for rows in (self._down, self._up)
+            )
         return self._ordsets
 
     def _refine(self, colors: list) -> list[int]:
@@ -433,10 +402,13 @@ class Configuration:
                 elif cert == best[0][0] and colors != best[0][1]:
                     note_automorphism(best[0][1], colors)
                 return
-            down, up = self._order_sets()
-            d0 = set(down[target[0]])
-            u0 = set(up[target[0]])
-            if all(set(down[v]) == d0 and set(up[v]) == u0 for v in target[1:]):
+            v0 = target[0]
+            d0 = self._down[v0] ^ 1 << v0
+            u0 = self._up[v0] ^ 1 << v0
+            if all(
+                self._down[v] ^ 1 << v == d0 and self._up[v] ^ 1 << v == u0
+                for v in target[1:]
+            ):
                 # Twins: equal labels and the same relation to every node
                 # outside the class (equal down sets force pairwise
                 # incomparability, since a node is never in its own down
@@ -457,6 +429,10 @@ class Configuration:
                 rec(nxt, path + [x])
 
         rec([init[lab] for lab in self.labels], [])
+        # rec's closure holds rec itself; emptying the cell breaks that
+        # cycle, so this configuration is freed by reference counting and
+        # not kept until the cyclic collector next runs
+        del rec
         self._cert, self._canon_colors = best[0]
 
     @property
@@ -495,21 +471,48 @@ def configuration(M) -> Configuration:
     Coloops are invisible to the lattice, so their count is attached as a
     side channel on the result and excluded from equality.
     """
-    zf = list(M.zf)
+    zf = M.zf  # sorted by (size, mask)
+    covers = _covers(*_order_masks([z for z, _ in zf]))
     labels = [(z.bit_count(), r) for z, r in zf]
-    covers = []
-    t = len(zf)
-    for i in range(t):
-        for j in range(t):
-            zi, zj = zf[i][0], zf[j][0]
-            if i == j or zi & zj != zi:
-                continue
-            covers.append((i, j))
-    top = max(range(t), key=lambda i: zf[i][0].bit_count())
-    coloops = M.n - zf[top][0].bit_count()
-    return Configuration(labels, covers, coloop_count=coloops)
+    return Configuration(labels, covers, coloop_count=M.n - zf[-1][0].bit_count())
 
 
-def configurations_equal(c1: Configuration, c2: Configuration) -> bool:
-    """True when a lattice isomorphism matches both size and rank labels."""
-    return c1 == c2
+def _covers(up: list[int], down: list[int]) -> list[tuple[int, int]]:
+    """The Hasse diagram in (lower, upper) order: i < j is a cover when
+    the interval [i, j], up[i] & down[j], holds only its two ends."""
+    return [
+        (i, j)
+        for i, row in enumerate(up)
+        for j in bit_members(row ^ 1 << i)
+        if row & down[j] == 1 << i | 1 << j
+    ]
+
+
+def _up_sets(succ: list[list[int]]) -> list[int]:
+    """Up-sets of the order generated by the edges i -> succ[i], one
+    depth-first pass with memoised rows; raises on a cycle."""
+    t = len(succ)
+    up = [0] * t
+    state = [0] * t  # 0 unseen, 1 on the current path, 2 done
+    for root in range(t):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            i, rest = stack[-1]
+            for j in rest:
+                if state[j] == 1:
+                    raise ValidationError("cover relation contains a cycle")
+                if not state[j]:
+                    state[j] = 1
+                    stack.append((j, iter(succ[j])))
+                    break
+            else:
+                stack.pop()
+                row = 1 << i
+                for j in succ[i]:
+                    row |= up[j]
+                up[i] = row
+                state[i] = 2
+    return up

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import freecone.cli
 import freecone.transfer
+from freecone import catenary_data, configuration, free_m_cone
 from freecone.cli import main
-from freecone.documents import canonical_json, matroid_to_document
+from freecone.documents import canonical_json, matroid_from_document, matroid_to_document
 from freecone.catalog import example_pair, separating_pair, uniform
 
 REPO = Path(__file__).resolve().parents[1]
@@ -85,6 +87,56 @@ def test_cone_layout(tmp_path, capsys):
     )
     assert code == 0
     assert len(json.loads(out)["ground_set"]) == 6
+
+
+def _cone_twice(tmp_path, capsys):
+    code, c1, _ = _run(capsys, ["cone", "--m", "1", _m1(tmp_path)])
+    assert code == 0
+    code, c2, err = _run(capsys, ["cone", "--m", "1", _write(tmp_path, "c1.json", json.loads(c1))])
+    assert code == 0, err
+    return json.loads(c1), json.loads(c2)
+
+
+def test_cone_of_a_cone(tmp_path, capsys):
+    c1, c2 = _cone_twice(tmp_path, capsys)
+    ground = c2["ground_set"]
+    assert len(ground) == 2 * 13 + 1 and len(set(ground)) == len(ground)
+    # the first cone's names are taken, so the second doubles "#" and "@"
+    assert ground[:13] == c1["ground_set"]
+    assert ground[13:15] == ["1##1", "2##1"] and "@tip##1" in ground
+    assert ground[-1] == "@@tip"
+    assert len(c2["cyclic_flats"]) == 224
+
+
+def test_cone_of_a_cone_round_trip(tmp_path, capsys):
+    _, c2 = _cone_twice(tmp_path, capsys)
+    code, cfg, _ = _run(capsys, ["invariant", "--kind", "config", _write(tmp_path, "c2.json", c2)])
+    assert code == 0
+    cfg_path = _write(tmp_path, "cfg.json", json.loads(cfg))
+    code, out, err = _run(capsys, ["reconstruct", "--m", "1", cfg_path])
+    assert code == 0, err
+    rec = matroid_from_document(json.loads(out))
+    # is_isomorphic is bounded at 10 elements, so the 13-element result is
+    # held to the 1-cone by its configuration and catenary data
+    Q = free_m_cone(M1, 1)
+    assert rec.n == 13
+    assert configuration(rec) == configuration(Q)
+    assert catenary_data(rec) == catenary_data(Q)
+
+
+def test_cone_names_stay_fresh_against_the_source(tmp_path, capsys):
+    doc = {
+        "ground_set": ["a", "a#1", "b"],
+        "cyclic_flats": [{"set": [], "rank": 0}, {"set": ["a", "a#1", "b"], "rank": 2}],
+    }
+    code, out, err = _run(capsys, ["cone", "--m", "1", _write(tmp_path, "a.json", doc)])
+    assert code == 0, err
+    assert json.loads(out)["ground_set"] == ["a", "a#1", "b", "a##1", "a#1##1", "b##1", "@tip"]
+
+    dup = {"ground_set": ["a", "a"], "cyclic_flats": [{"set": [], "rank": 0}]}
+    code, out, err = _run(capsys, ["validate", _write(tmp_path, "dup.json", dup)])
+    assert code == 1 and out == ""
+    assert err.startswith("freecone:") and "duplicate" in err
 
 
 def test_invariant_kinds(tmp_path, capsys):
@@ -267,6 +319,28 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--help"])
     assert exc.value.code == 0
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    path = _m1(tmp_path)
+    calls = [["cone", path], ["invariant", "--kind", "config", path], ["cone", "--help"]]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        return got
+
+    shared = outcomes()
+    assert [code for code, _, _ in shared] == [1, 0, 0]
+    assert freecone.cli._parser() is freecone.cli._parser()
+    monkeypatch.setattr(freecone.cli, "_parser", freecone.cli.build_parser)
+    assert outcomes() == shared
 
 
 def test_higgs_above_16_elements(tmp_path, capsys):

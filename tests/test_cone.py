@@ -36,6 +36,17 @@ def test_ground_set_layout_and_names():
     assert Q.m == 2 and Q.source is M
 
 
+def test_cone_names_are_fresh_and_duplicates_are_rejected():
+    M = from_cyclic_flats([(0, 0)], 3, names=["x", "x#1", "@tip"])
+    Q = free_m_cone(M, 2)
+    assert Q.names == ("x", "x#1", "@tip", "x##1", "x##2", "x#1##1", "x#1##2",
+                       "@tip##1", "@tip##2", "@@tip")
+    QQ = free_m_cone(Q, 1)
+    assert len(set(QQ.names)) == QQ.n == 2 * Q.n + 1
+    with pytest.raises(ValidationError, match="'x' appears twice"):
+        from_cyclic_flats([(0, 0)], 2, names=["x", "x"])
+
+
 def test_cone_rank_is_source_rank_plus_one():
     for name, M in FIXTURES:
         for m in (1, 2):
