@@ -12,9 +12,6 @@ from .cone import (
     VariantKind,
     free_m_cone,
     higgs_lift,
-    is_flat_in_cone,
-    p,
-    q,
     variant,
 )
 from .core import (
@@ -25,11 +22,9 @@ from .core import (
     matroid_from_rank_oracle,
 )
 from .errors import (
-    AllCollapse,
     AxiomViolation,
     GroundSetTooLarge,
     InconsistentSystem,
-    InvalidTuple,
     MalformedCatenary,
     MalformedSrc,
     MatroidError,
@@ -46,8 +41,6 @@ from .invariants import (
     TuttePolynomial,
     catenary_data,
     characteristic,
-    flags,
-    flags_of_deletion,
     g_invariant,
     src_data,
     src_from_g,
@@ -56,12 +49,8 @@ from .invariants import (
 )
 from .transfer import (
     CertificateReport,
-    FlagTuple,
     catenary_of_cone,
     certify_pair,
-    flag_bijection,
-    flag_bijection_inverse,
-    flag_tuples,
     reconstruct_from_cone_config,
     tutte_of_cone_from_src,
 )
@@ -69,7 +58,6 @@ from .zlattice import (
     Configuration,
     ValidationReport,
     configuration,
-    cyclic_flats,
     validate_axioms,
 )
 
@@ -82,7 +70,6 @@ __all__ = [
     "matroid_from_rank_oracle",
     "is_isomorphic",
     "validate_axioms",
-    "cyclic_flats",
     "configuration",
     "Configuration",
     "ValidationReport",
@@ -92,8 +79,6 @@ __all__ = [
     "SrcData",
     "g_invariant",
     "catenary_data",
-    "flags",
-    "flags_of_deletion",
     "tutte",
     "tutte_from_size_rank",
     "characteristic",
@@ -103,13 +88,6 @@ __all__ = [
     "free_m_cone",
     "variant",
     "higgs_lift",
-    "is_flat_in_cone",
-    "q",
-    "p",
-    "FlagTuple",
-    "flag_tuples",
-    "flag_bijection",
-    "flag_bijection_inverse",
     "catenary_of_cone",
     "tutte_of_cone_from_src",
     "src_from_g",
@@ -121,12 +99,10 @@ __all__ = [
     "NotABasisSystem",
     "GroundSetTooLarge",
     "SourceHasLoops",
-    "InvalidTuple",
     "MalformedCatenary",
     "MalformedSrc",
     "InconsistentSystem",
     "NotAConeConfiguration",
-    "AllCollapse",
     "ParseError",
     "ValidationError",
     "__version__",

@@ -29,7 +29,7 @@ from .documents import (
     src_to_document,
     tutte_to_document,
 )
-from .errors import GroundSetTooLarge, MatroidError, NotABasisSystem, ParseError
+from .errors import AxiomViolation, GroundSetTooLarge, MatroidError, NotABasisSystem, ParseError
 from .invariants import (
     catenary_data,
     characteristic,
@@ -43,23 +43,25 @@ from .transfer import (
     reconstruct_from_cone_config,
     tutte_of_cone_from_src,
 )
-from .zlattice import ValidationReport, configuration, validate_axioms
+from .zlattice import ValidationReport, configuration
 
 __all__ = ["main", "entry"]
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: byte offset {exc.start}: {exc.reason}") from None
 
 
-def _load_matroid(path: str, validate: bool = True):
-    return matroid_from_document(parse_json(_read_text(path)), validate=validate)
+def _load_matroid(path: str):
+    return matroid_from_document(parse_json(_read_text(path)))
 
 
 def _emit(doc) -> None:
@@ -79,20 +81,17 @@ def _cone_matroid(args):
 
 def cmd_validate(args) -> int:
     doc = parse_json(_read_text(args.file))
-    if isinstance(doc, dict) and "bases" in doc and "cyclic_flats" not in doc:
-        try:
-            matroid_from_document(doc)
-            report = ValidationReport(ok=True)
-            names = None
-        except NotABasisSystem as exc:
-            report = ValidationReport(
-                ok=False, axiom="basis-exchange", witness=(), message=str(exc)
-            )
-            names = None
-    else:
-        M = matroid_from_document(doc, validate=False)
-        report = validate_axioms(M.zf)
-        names = M.names
+    names = None
+    try:
+        matroid_from_document(doc)
+        report = ValidationReport(ok=True)
+    except NotABasisSystem as exc:
+        report = ValidationReport(ok=False, axiom="basis-exchange", message=str(exc))
+    except AxiomViolation as exc:
+        report = ValidationReport(
+            ok=False, axiom=exc.axiom, witness=exc.witness, message=str(exc)
+        )
+        names = doc["ground_set"]
     _emit(report_to_document(report, names=names))
     return 0 if report.ok else 1
 

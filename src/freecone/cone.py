@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import zlattice
-from .core import Matroid, as_mask, bit_members, from_cyclic_flats
+from .core import Matroid, bit_members, from_cyclic_flats
 from .errors import AxiomViolation, SourceHasLoops, ValidationError
 
 __all__ = [
@@ -22,9 +22,6 @@ __all__ = [
     "free_m_cone",
     "variant",
     "higgs_lift",
-    "is_flat_in_cone",
-    "q",
-    "p",
 ]
 
 
@@ -76,38 +73,6 @@ class ConeMatroid(Matroid):
         self.base_mask = (1 << source.n) - 1
         self.fiber_mask = self._full & ~(self.base_mask | (1 << self.tip_id))
 
-    def fiber_ids(self, e: int) -> list[int]:
-        n = self.source.n
-        return [n + e * self.m + j for j in range(self.m)]
-
-    def fibers_of(self, e: int) -> int:
-        n = self.source.n
-        return ((1 << self.m) - 1) << (n + e * self.m)
-
-    def q_mask(self, s: int) -> int:
-        return _q_mask(self.source.n, self.m, s)
-
-    def p_mask(self, s: int) -> int:
-        out = s & self.base_mask
-        n, m = self.source.n, self.m
-        fibers = (s & self.fiber_mask) >> n
-        while fibers:
-            e = (fibers & -fibers).bit_length() - 1
-            out |= 1 << (e // m)
-            fibers &= fibers - 1
-        return out
-
-
-def q(Q: ConeMatroid, s) -> set[int]:
-    """The cone of a source subset: s itself, its fibers, and the tip."""
-    return set(bit_members(Q.q_mask(as_mask(s))))
-
-
-def p(Q: ConeMatroid, s) -> set[int]:
-    """Project a cone subset to the source: base elements stay, fiber
-    elements map to the element under them, the tip has no image."""
-    return set(bit_members(Q.p_mask(as_mask(s))))
-
 
 def _cone_names(names, m: int) -> list[str]:
     """Fiber names "x" + "#"*k + "j" and the tip name "@"*k' + "tip", with
@@ -127,7 +92,7 @@ def _cone_names(names, m: int) -> list[str]:
     return [f"{x}{sep}{j}" for x in names for j in range(1, m + 1)] + [tip]
 
 
-def free_m_cone(M: Matroid, m: int, validate: bool = True) -> ConeMatroid:
+def free_m_cone(M: Matroid, m: int) -> ConeMatroid:
     """Build Q_m(M) from its cyclic-flat description directly."""
     if m < 1:
         raise ValidationError("m must be at least 1")
@@ -144,10 +109,9 @@ def free_m_cone(M: Matroid, m: int, validate: bool = True) -> ConeMatroid:
         for f in level:
             if f:
                 entries.append((_q_mask(n, m, f), rk + 1))
-    if validate:
-        report = zlattice.validate_axioms(entries)
-        if not report.ok:
-            raise AxiomViolation(report.axiom, report.witness, report.message)
+    report = zlattice.validate_axioms(entries)
+    if not report.ok:
+        raise AxiomViolation(report.axiom, report.witness, report.message)
     return ConeMatroid(nq, entries, names, m, M)
 
 
@@ -175,28 +139,3 @@ def higgs_lift(M: Matroid) -> Matroid:
     """
     entries = [(0, 0)] + [(z, r + 1) for z, r in M.zf if z.bit_count() - r >= 2]
     return from_cyclic_flats(entries, M.n, names=M.names)
-
-
-def is_flat_in_cone(Q: ConeMatroid, F) -> bool:
-    """Flat test for subsets of the cone, by the structural description.
-
-    A tip-containing flat is exactly the cone of a flat of the source.
-    A tip-free flat meets each column {e} union T_e at most once, its
-    base part is a flat, and its fiber picks extend that base part
-    independently.
-    """
-    fmask = as_mask(F) & Q.full_mask
-    M = Q.source
-    base = fmask & Q.base_mask
-    if fmask >> Q.tip_id & 1:
-        return M.is_flat_mask(base) and fmask == Q.q_mask(base)
-    fibers = fmask & Q.fiber_mask
-    cnt = fibers.bit_count()
-    for e in range(M.n):
-        col = (fmask >> e & 1) + (fibers & Q.fibers_of(e)).bit_count()
-        if col > 1:
-            return False
-    if not M.is_flat_mask(base):
-        return False
-    proj = Q.p_mask(fibers)
-    return M.rank_mask(base | proj) == M.rank_mask(base) + cnt

@@ -156,17 +156,11 @@ class Matroid:
     def closure_mask(self, x: int) -> int:
         return x | (self._full & ~self._minimizers(x)[1])
 
-    def closure(self, x: Iterable[int] | int) -> set[int]:
-        return set(bit_members(self.closure_mask(as_mask(x) & self._full)))
-
     def is_flat_mask(self, x: int) -> bool:
         return self.closure_mask(x) == x
 
     def coloops_of_restriction_mask(self, x: int) -> int:
         return x & self._minimizers(x)[2]
-
-    def coloops_of_restriction(self, x: Iterable[int] | int) -> set[int]:
-        return set(bit_members(self.coloops_of_restriction_mask(as_mask(x) & self._full)))
 
     def is_cyclic_mask(self, x: int) -> bool:
         return self.coloops_of_restriction_mask(x) == 0
@@ -209,19 +203,6 @@ class Matroid:
         self._flats = levels
         return levels
 
-    def flats_of_rank(self, i: int) -> list[set[int]]:
-        levels = self.flats_by_rank()
-        if not 0 <= i < len(levels):
-            raise ValueError(f"rank {i} out of range 0..{len(levels) - 1}")
-        return [set(bit_members(f)) for f in levels[i]]
-
-    def all_flats(self) -> list[tuple[set[int], int]]:
-        out = []
-        for r, level in enumerate(self.flats_by_rank()):
-            for f in level:
-                out.append((set(bit_members(f)), r))
-        return out
-
     # -- bases ---------------------------------------------------------------
 
     def bases_masks(self) -> list[int]:
@@ -240,12 +221,9 @@ class Matroid:
                 out.append(m)
         return out
 
-    def bases(self) -> list[frozenset[int]]:
-        return [frozenset(bit_members(b)) for b in self.bases_masks()]
-
     # -- minors ----------------------------------------------------------------
 
-    def delete(self, x: Iterable[int] | int, validate: bool = True) -> "Matroid":
+    def delete(self, x: Iterable[int] | int) -> "Matroid":
         """Delete the elements of `x`.
 
         The cyclic flats of the deletion are exactly the sets F - x, for F
@@ -262,11 +240,11 @@ class Matroid:
             rc, _, out_some = self._minimizers(c)
             if not c & out_some:
                 entries.append((_compress_mask(c, kept), rc))
-        return from_cyclic_flats(entries, len(kept), names=names, validate=validate)
+        return from_cyclic_flats(entries, len(kept), names=names)
 
-    def restrict(self, x: Iterable[int] | int, validate: bool = True) -> "Matroid":
+    def restrict(self, x: Iterable[int] | int) -> "Matroid":
         xmask = as_mask(x) & self._full
-        return self.delete(self._full & ~xmask, validate=validate)
+        return self.delete(self._full & ~xmask)
 
     def relabel(self, perm: Sequence[int]) -> "Matroid":
         """Relabel element ids, `perm[old] = new`; names follow their elements."""
@@ -284,17 +262,13 @@ class Matroid:
         return Matroid(self.n, zf, names=names)
 
 
-def from_cyclic_flats(
-    sets_with_ranks,
-    n: int,
-    names=None,
-    validate: bool = True,
-) -> Matroid:
+def from_cyclic_flats(sets_with_ranks, n: int, names=None) -> Matroid:
     """Build a matroid from (set, rank) pairs, checking the lattice axioms.
 
     `sets_with_ranks` may be a dict {set-or-mask: rank} or an iterable of
     (set-or-mask, rank) pairs.  Raises AxiomViolation when the family with
-    its ranks is not the cyclic-flat family of any matroid.
+    its ranks is not the cyclic-flat family of any matroid; a set listed
+    twice with two ranks violates Z0, and an exact repeat is one member.
     """
     if isinstance(sets_with_ranks, dict):
         items = sets_with_ranks.items()
@@ -308,28 +282,19 @@ def from_cyclic_flats(
         if not isinstance(r, int) or isinstance(r, bool) or r < 0:
             raise ValueError(f"rank of {s!r} must be a nonnegative integer, got {r!r}")
         entries.append((m, r))
-    if validate:
-        report = validate_axioms(entries)
-        if not report.ok:
-            raise AxiomViolation(report.axiom, report.witness, report.message)
-    elif len({m for m, _ in entries}) != len(entries):
-        # unvalidated path still needs a well-defined representation
-        raise ValueError("duplicate sets in cyclic-flat family")
+    report = validate_axioms(entries)
+    if not report.ok:
+        raise AxiomViolation(report.axiom, report.witness, report.message)
     return Matroid(n, sorted(set(entries)), names=names)
 
 
-def matroid_from_rank_oracle(
-    n: int,
-    rank_fn: Callable[[int], int],
-    names=None,
-    validate: bool = True,
-) -> Matroid:
+def matroid_from_rank_oracle(n: int, rank_fn: Callable[[int], int], names=None) -> Matroid:
     """Extract cyclic flats from a rank oracle on bitmasks and build a matroid.
 
     The oracle must be the rank function of a matroid on {0,...,n-1}; the
     construction walks the flat lattice, keeps the flats without coloops,
-    and (by default) validates the result, which catches non-matroidal
-    oracles at desk scale.
+    and validates the result, which catches non-matroidal oracles at desk
+    scale.
     """
     if n > FLAT_ENUMERATION_BOUND:
         raise GroundSetTooLarge(
@@ -374,7 +339,7 @@ def matroid_from_rank_oracle(
                     seen.add(g)
                     nxt.add(g)
         frontier = sorted(nxt)
-    return from_cyclic_flats(entries, n, names=names, validate=validate)
+    return from_cyclic_flats(entries, n, names=names)
 
 
 def from_bases(bases, n: int, names=None) -> Matroid:
@@ -418,18 +383,21 @@ def from_bases(bases, n: int, names=None) -> Matroid:
     return matroid_from_rank_oracle(n, rank_fn, names=names)
 
 
-def is_isomorphic(M: Matroid, N: Matroid, max_n: int = ISOMORPHISM_BOUND):
+def is_isomorphic(M: Matroid, N: Matroid):
     """A ground-set bijection carrying Z(M) with ranks onto Z(N), or None.
 
     Backtracking over element images, pruned by per-element and per-pair
     incidence signatures over the cyclic-flat families.  Returns the
-    bijection as a tuple (image of 0, image of 1, ...).
+    bijection as a tuple (image of 0, image of 1, ...).  Supported up to
+    ISOMORPHISM_BOUND elements.
     """
     if M.n != N.n:
         return None
     n = M.n
-    if n > max_n:
-        raise GroundSetTooLarge(f"isomorphism search supported up to n={max_n}, got n={n}")
+    if n > ISOMORPHISM_BOUND:
+        raise GroundSetTooLarge(
+            f"isomorphism search supported up to n={ISOMORPHISM_BOUND}, got n={n}"
+        )
     if sorted((z.bit_count(), r) for z, r in M.zf) != sorted(
         (z.bit_count(), r) for z, r in N.zf
     ):

@@ -63,6 +63,10 @@ def parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError("arrays and objects are nested too deeply") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"unreadable number: {exc}") from None
 
 
 def _as_int(value, what: str) -> int:
@@ -117,7 +121,7 @@ def _mask_of(names, ids: dict, what: str) -> int:
         raise ParseError(f"{what} must be a list of element names")
     mask = 0
     for nm in names:
-        if nm not in ids:
+        if not isinstance(nm, str) or nm not in ids:
             raise ParseError(f"{what} mentions unknown element {nm!r}")
         bit = 1 << ids[nm]
         if mask & bit:
@@ -126,7 +130,7 @@ def _mask_of(names, ids: dict, what: str) -> int:
     return mask
 
 
-def matroid_from_document(doc, validate: bool = True) -> Matroid:
+def matroid_from_document(doc) -> Matroid:
     ground, ids = _name_map(doc)
     n = len(ground)
     has_zf = "cyclic_flats" in doc
@@ -146,7 +150,7 @@ def matroid_from_document(doc, validate: bool = True) -> Matroid:
             if rank < 0:
                 raise ValidationError(f"cyclic_flats[{i}] has negative rank")
             entries.append((_mask_of(members, ids, f"cyclic_flats[{i}].set"), rank))
-        return from_cyclic_flats(entries, n, names=ground, validate=validate)
+        return from_cyclic_flats(entries, n, names=ground)
     raw = doc["bases"]
     if not isinstance(raw, list):
         raise ParseError("bases must be a list")

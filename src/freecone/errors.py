@@ -38,10 +38,6 @@ class SourceHasLoops(MatroidError):
     """Cone construction was handed a matroid with loops."""
 
 
-class InvalidTuple(MatroidError):
-    """A flag tuple does not describe a flag of the cone in question."""
-
-
 class MalformedCatenary(MatroidError):
     """Catenary data whose keys are not compositions of the right shape."""
 
@@ -57,10 +53,6 @@ class InconsistentSystem(MatroidError):
 class NotAConeConfiguration(MatroidError):
     """A configuration that cannot be the configuration of any cone of the
     requested kind and parameter."""
-
-
-class AllCollapse(MatroidError):
-    """Every flag collapses under the requested deletion (rank drops)."""
 
 
 class ParseError(MatroidError):

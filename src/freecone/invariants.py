@@ -1,5 +1,5 @@
 """Invariant computations: G-invariant, catenary data, Tutte polynomial,
-characteristic polynomial, size-rank-coloop data, and flag streams.
+characteristic polynomial, and size-rank-coloop data.
 
 Everything follows the flat lattice, and each invariant is derived from
 data known to determine it: catenary data counts chains of flats; the
@@ -9,7 +9,8 @@ G-invariant; and the Tutte and characteristic polynomials come from its
 (size, rank) marginal.  No subset of the ground set is scanned.  The
 transfer module reproduces several of these from source data alone, and
 the test suite holds them equal to the direct computations and to
-brute-force oracles.  Counts are exact ints.
+brute-force oracles; the flag stream that catenary data tallies is the
+oracle `tests/oracles.py::flags`.  Counts are exact ints.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Matroid, as_mask
-from .errors import AllCollapse, InconsistentSystem, ValidationError
+from .core import Matroid
+from .errors import InconsistentSystem, ValidationError
 
 __all__ = [
     "GInvariant",
@@ -31,8 +32,6 @@ __all__ = [
     "characteristic",
     "src_data",
     "src_from_g",
-    "flags",
-    "flags_of_deletion",
 ]
 
 
@@ -179,50 +178,7 @@ def _nonzero(d: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# flags and catenary data
-
-
-def flags(M: Matroid):
-    """Stream the flags of M as tuples of flat bitmasks (X_0, ..., X_k).
-
-    X_0 is the rank-0 flat (the loops); each step moves to a cover, so
-    enumeration is depth-first over the flat lattice with O(k) memory per
-    chain plus the cover cache.
-    """
-    k = M.rank_int
-    bottom = M.closure_mask(0)
-    chain = [bottom]
-
-    def rec(f: int, depth: int):
-        if depth == k:
-            yield tuple(chain)
-            return
-        for g in M.covers_mask(f):
-            chain.append(g)
-            yield from rec(g, depth + 1)
-            chain.pop()
-
-    yield from rec(bottom, 0)
-
-
-def flags_of_deletion(M: Matroid, S):
-    """Flags of M minus S, obtained from the non-collapsing flags of M.
-
-    A flag collapses when removing S makes two consecutive flats equal.
-    When rank drops under the deletion every flag collapses; that case is
-    signalled with AllCollapse rather than an empty stream.
-    """
-    smask = as_mask(S) & M.full_mask
-    keep = M.full_mask & ~smask
-    if M.rank_mask(keep) < M.rank_int:
-        raise AllCollapse(
-            "the deletion lowers the rank, so every flag collapses"
-        )
-    for fl in flags(M):
-        imgs = tuple(f & keep for f in fl)
-        if any(imgs[i] == imgs[i + 1] for i in range(len(imgs) - 1)):
-            continue
-        yield imgs
+# catenary data
 
 
 def _flag_counts(M: Matroid) -> dict:
@@ -230,8 +186,8 @@ def _flag_counts(M: Matroid) -> dict:
     over the flat lattice (level by level, carrying composition prefixes
     per flat).
 
-    Agrees with tallying the flags() stream; the DP form just avoids
-    materializing every chain, which matters for cones.
+    Agrees with tallying every flag of M one by one; the DP form just
+    avoids materializing every chain, which matters for cones.
     """
     k = M.rank_int
     bottom = M.closure_mask(0)

@@ -1,14 +1,16 @@
 """Maps between source-matroid data and cone data, and back.
 
-Three pipelines live here: the explicit bijection between decorated flags
-of M and flags of the cone (and the catenary transfer formulas derived
-from it), reconstruction of the Tutte polynomial of a cone or variant
-from size-rank-coloop data of the source, and reconstruction of the
-source matroid from the configuration of a cone or variant.  Each
-pipeline is held equal to the direct computation in the test suite.
-Recovery of size-rank-coloop data from the G-invariant (src_from_g) lives
-in the invariants module, which derives src_data from it; it is exported
-here too.
+Three pipelines live here: the catenary transfer formulas, which count
+the flags of a cone or variant from the catenary data of the source;
+reconstruction of the Tutte polynomial of a cone or variant from
+size-rank-coloop data of the source; and reconstruction of the source
+matroid from the configuration of a cone or variant.  Each pipeline is
+held equal to the direct computation in the test suite.  The explicit
+bijection between decorated flags of M and flags of the cone, from which
+the catenary formulas are derived, is the test oracle
+`tests/oracles.py::flag_bijection`.  Recovery of size-rank-coloop data
+from the G-invariant (src_from_g) lives in the invariants module, which
+derives src_data from it; it is exported here too.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .catalog import rank_two
-from .cone import ConeMatroid, VariantKind, free_m_cone, variant
+from .cone import VariantKind, free_m_cone, variant
 from .core import (
     ISOMORPHISM_BOUND,
     Matroid,
-    bit_members,
     from_cyclic_flats,
     is_isomorphic,
     matroid_from_rank_oracle,
@@ -31,7 +32,6 @@ from .core import (
 from .errors import (
     GroundSetTooLarge,
     InconsistentSystem,
-    InvalidTuple,
     MalformedCatenary,
     MalformedSrc,
     MatroidError,
@@ -44,7 +44,6 @@ from .invariants import (
     SrcData,
     TuttePolynomial,
     catenary_data,
-    flags,
     g_invariant,
     src_from_g,
     tutte_from_size_rank,
@@ -52,11 +51,7 @@ from .invariants import (
 from .zlattice import Configuration, configuration
 
 __all__ = [
-    "FlagTuple",
     "VariantKind",
-    "flag_tuples",
-    "flag_bijection",
-    "flag_bijection_inverse",
     "catenary_of_cone",
     "tutte_of_cone_from_src",
     "src_from_g",
@@ -73,156 +68,6 @@ _KIND_PARAMS = {
     VariantKind.BASELESS: (lambda m: m, 1, 0, False),
     VariantKind.TIPLESS_BASELESS: (lambda m: m, 0, 1, False),
 }
-
-
-# ---------------------------------------------------------------------------
-# flag bijection
-
-
-@dataclass(frozen=True)
-class FlagTuple:
-    """A flag of the source matroid decorated with fiber insertions.
-
-    flag_m: the flats X_0 subset ... subset X_k of M, as bitmasks.
-    h: how many steps of the cone flag stay tip-free, 0 <= h <= k.
-    C: the positions in 1..h at which a single fiber element is added;
-       at the remaining positions the flag advances by a flat of M.
-    fibers: the fiber elements (cone ids), one per position in C taken
-       in increasing position order; the j-th must project into
-       X_{h-|C|+j} - X_{h-|C|+j-1}.
-    """
-
-    flag_m: tuple
-    h: int
-    C: frozenset
-    fibers: tuple
-
-
-def _check_flag_of(M: Matroid, fl) -> None:
-    k = M.rank_int
-    if len(fl) != k + 1:
-        raise InvalidTuple(f"flag must have {k + 1} flats, got {len(fl)}")
-    prev = None
-    for i, x in enumerate(fl):
-        if not isinstance(x, int):
-            raise InvalidTuple("flag entries must be bitmasks")
-        if x & ~M.full_mask:
-            raise InvalidTuple("flag entry outside the ground set")
-        if not M.is_flat_mask(x) or M.rank_mask(x) != i:
-            raise InvalidTuple(f"entry {i} is not a rank-{i} flat")
-        if prev is not None and (prev & ~x or prev == x):
-            raise InvalidTuple("flag entries must strictly increase")
-        prev = x
-
-
-def flag_tuples(Q: ConeMatroid):
-    """Stream every decorated flag of Q's source matroid."""
-    M = Q.source
-    k = M.rank_int
-    for fl in flags(M):
-        for h in range(k + 1):
-            for cbits in range(1 << h):
-                C = frozenset(i + 1 for i in range(h) if cbits >> i & 1)
-                c = len(C)
-                layers = []
-                for j in range(1, c + 1):
-                    diff = fl[h - c + j] & ~fl[h - c + j - 1]
-                    layers.append(
-                        [fid for e in bit_members(diff) for fid in Q.fiber_ids(e)]
-                    )
-                for combo in itertools.product(*layers):
-                    yield FlagTuple(tuple(fl), h, C, tuple(combo))
-
-
-def flag_bijection(t: FlagTuple, Q: ConeMatroid) -> tuple:
-    """Forward map: a decorated flag of M to a flag of Q, as bitmasks."""
-    M = Q.source
-    k = M.rank_int
-    _check_flag_of(M, t.flag_m)
-    if t.flag_m[0] != 0:
-        raise InvalidTuple("source matroid must be loopless")
-    if not 0 <= t.h <= k:
-        raise InvalidTuple(f"h must lie in 0..{k}")
-    if not t.C <= set(range(1, t.h + 1)):
-        raise InvalidTuple("C must be a subset of 1..h")
-    c = len(t.C)
-    if len(t.fibers) != c:
-        raise InvalidTuple("need exactly one fiber element per position in C")
-    for j, y in enumerate(t.fibers, start=1):
-        if not isinstance(y, int) or not (Q.fiber_mask >> y) & 1:
-            raise InvalidTuple(f"{y!r} is not a fiber element")
-        pe = Q.p_mask(1 << y)
-        if not pe & t.flag_m[t.h - c + j] & ~t.flag_m[t.h - c + j - 1]:
-            raise InvalidTuple(
-                f"fiber {j} must project into layer {t.h - c + j} of the flag"
-            )
-    ys = [0]
-    csorted = sorted(t.C)
-    dj = 0
-    for i in range(1, t.h + 1):
-        if i in t.C:
-            y = t.fibers[csorted.index(i)]
-            ys.append(ys[-1] | (1 << y))
-        else:
-            dj += 1
-            ys.append(ys[-1] | t.flag_m[dj])
-    for i in range(t.h + 1, k + 2):
-        ys.append(Q.q_mask(t.flag_m[i - 1]))
-    return tuple(ys)
-
-
-def flag_bijection_inverse(flag_q, Q: ConeMatroid) -> FlagTuple:
-    """Inverse map: a flag of Q back to the decorated flag of M."""
-    M = Q.source
-    k = M.rank_int
-    fl = tuple(flag_q)
-    if len(fl) != k + 2:
-        raise InvalidTuple(f"a cone flag has {k + 2} flats, got {len(fl)}")
-    prev = None
-    for i, x in enumerate(fl):
-        if not isinstance(x, int) or x & ~Q.full_mask:
-            raise InvalidTuple("flag entries must be bitmasks in the cone")
-        if not Q.is_flat_mask(x) or Q.rank_mask(x) != i:
-            raise InvalidTuple(f"entry {i} is not a rank-{i} flat of the cone")
-        if prev is not None and (prev & ~x or prev == x):
-            raise InvalidTuple("flag entries must strictly increase")
-        prev = x
-    tipbit = 1 << Q.tip_id
-    h = max(i for i in range(k + 2) if not fl[i] & tipbit)
-    if h == k + 1:
-        raise InvalidTuple("the top flat of the cone always contains the tip")
-    xs: list = [None] * (k + 1)
-    for i in range(h + 1, k + 2):
-        xs[i - 1] = fl[i] & Q.base_mask
-        if fl[i] != Q.q_mask(xs[i - 1]):
-            raise InvalidTuple(f"entry {i} is not the cone of its base part")
-    cpos: list[int] = []
-    fibers: list[int] = []
-    dflats: list[int] = []
-    for i in range(1, h + 1):
-        delta = fl[i] & ~fl[i - 1]
-        if delta and not delta & ~Q.fiber_mask and delta.bit_count() == 1:
-            cpos.append(i)
-            fibers.append(delta.bit_length() - 1)
-        elif delta and not delta & ~Q.base_mask:
-            dflats.append(fl[i] & Q.base_mask)
-        else:
-            raise InvalidTuple(f"step {i} mixes base and fiber elements")
-    c = len(cpos)
-    d = h - c
-    xs[0] = 0
-    for j, x in enumerate(dflats, start=1):
-        xs[j] = x
-    for j in range(1, c + 1):
-        pe = Q.p_mask(1 << fibers[j - 1])
-        if pe & xs[d + j - 1]:
-            raise InvalidTuple(f"fiber at step {cpos[j - 1]} projects into the flag too early")
-        xs[d + j] = M.closure_mask(xs[d + j - 1] | pe)
-    for i in range(k):
-        if xs[i] & ~xs[i + 1] or xs[i] == xs[i + 1]:
-            raise InvalidTuple("recovered source flats are not a flag")
-    _check_flag_of(M, xs)
-    return FlagTuple(tuple(xs), h, frozenset(cpos), tuple(fibers))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cyclic-flat families: lattice axioms, recomputation, configurations.
+"""Cyclic-flat families: lattice axioms and configurations.
 
 A family of sets with ranks is the cyclic-flat family of a matroid exactly
 when it satisfies the axioms checked by :func:`validate_axioms`:
@@ -25,7 +25,6 @@ from .errors import ValidationError
 __all__ = [
     "ValidationReport",
     "validate_axioms",
-    "cyclic_flats",
     "Configuration",
     "configuration",
 ]
@@ -67,13 +66,12 @@ def _order_masks(ms: list[int]) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport:
+def validate_axioms(family) -> ValidationReport:
     """Check whether (set, rank) pairs satisfy the cyclic-flat axioms.
 
     `family` is a dict {set-or-mask: rank} or an iterable of (set-or-mask,
-    rank) pairs.  With `incomparable_only`, (Z3) is checked only on
-    incomparable pairs; comparable pairs satisfy it identically, so both
-    modes accept the same families.
+    rank) pairs.  (Z3) is checked on incomparable pairs only: for X ⊆ Y the
+    join is Y, the meet is X and the defect is 0, so it holds with equality.
 
     Every order query reads the up-sets and down-sets of `_order_masks`, so
     the check takes O(t^2) operations on t-bit masks for t members.
@@ -141,11 +139,11 @@ def validate_axioms(family, incomparable_only: bool = False) -> ValidationReport
                     f"r({_fmt(y)}) - r({_fmt(x)}) = {dr} not strictly between 0 and {dc}",
                 )
 
-    # Z3: submodularity with the meet-defect term
+    # Z3: submodularity with the meet-defect term, on incomparable pairs
     for i in range(t):
         x, ui, di = ms[i], up[i], down[i]
         for j in range(i + 1, t):
-            if incomparable_only and ui >> j & 1:
+            if ui >> j & 1:
                 continue
             y = ms[j]
             c = ui & up[j]
@@ -170,24 +168,6 @@ def _witness(*masks: int) -> tuple[frozenset[int], ...]:
 
 def _fmt(mask: int) -> str:
     return "{" + ",".join(str(e) for e in bit_members(mask)) + "}"
-
-
-def cyclic_flats(M) -> list[tuple[frozenset[int], int]]:
-    """Recompute the cyclic flats of `M` by walking its flat lattice.
-
-    Scans the whole flat lattice and keeps the flats whose restriction has
-    no coloops.  Closure and coloops are read from `M`'s stored family, so
-    this is a consistency check of that family (it must find exactly its
-    members), not an independent oracle; those live in the test suite's
-    brute-force oracles.  Use it at desk scale only.
-    """
-    out = []
-    for r, level in enumerate(M.flats_by_rank()):
-        for f in level:
-            if M.is_cyclic_mask(f):
-                out.append((frozenset(bit_members(f)), r))
-    out.sort(key=lambda fr: (len(fr[0]), sorted(fr[0])))
-    return out
 
 
 class Configuration:

@@ -10,16 +10,26 @@ that the bases oracles cannot reach.  validate_axioms and hasse_covers are
 the scanning forms of the package's order queries on cyclic-flat families:
 each join and meet found by a pass over all t members, the order closed by
 a fixpoint loop and reduced by an O(t^3) search.
+
+The last section is the paper's explicit bijection from the decorated
+flags of a loopless M to the flags of its cone Q_m(M), the oracle of the
+catenary transfer formulas: `flags` streams the flags of a matroid one
+chain at a time, `flag_tuples` the decorated flags of the source, and
+`flag_bijection` and its inverse map between them.  The cone layout is
+read through q_mask, p_mask and the fiber helpers, and is_flat_in_cone
+tests flats of the cone by its structural description, with no closure.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from freecone import ValidationError, ValidationReport
+from freecone.core import as_mask
 
 
 def rank_from_bases(bases_masks):
@@ -384,3 +394,239 @@ def hasse_covers(labels, covers) -> tuple[list[int], list[tuple[int, int]]]:
     if labels[bottoms[0]][1] != 0:
         raise ValidationError("the least node must have rank 0")
     return leq, cov
+
+
+# ---------------------------------------------------------------------------
+# flags of a matroid and the flag bijection onto the flags of its cone
+
+
+class InvalidTuple(Exception):
+    """A flag tuple does not describe a flag of the cone in question."""
+
+
+def flags(M):
+    """Stream the flags of M as tuples of flat bitmasks (X_0, ..., X_k).
+
+    X_0 is the rank-0 flat (the loops); each step moves to a cover, so
+    enumeration is depth-first over the flat lattice with O(k) memory per
+    chain plus the cover cache.
+    """
+    k = M.rank_int
+    bottom = M.closure_mask(0)
+    chain = [bottom]
+
+    def rec(f: int, depth: int):
+        if depth == k:
+            yield tuple(chain)
+            return
+        for g in M.covers_mask(f):
+            chain.append(g)
+            yield from rec(g, depth + 1)
+            chain.pop()
+
+    yield from rec(bottom, 0)
+
+
+def fiber_ids(Q, e: int) -> list[int]:
+    """The cone ids of the m fibers over source element e."""
+    n = Q.source.n
+    return [n + e * Q.m + j for j in range(Q.m)]
+
+
+def fibers_of(Q, e: int) -> int:
+    return ((1 << Q.m) - 1) << (Q.source.n + e * Q.m)
+
+
+def q_mask(Q, s: int) -> int:
+    """q(S): S, the fibers over each element of S, and the tip."""
+    out = s | 1 << Q.tip_id
+    for e in _members(s):
+        out |= fibers_of(Q, e)
+    return out
+
+
+def p_mask(Q, s: int) -> int:
+    """Base elements stay, fibers map to the element under them, and the
+    tip has no image."""
+    out = s & Q.base_mask
+    fibers = (s & Q.fiber_mask) >> Q.source.n
+    for f in _members(fibers):
+        out |= 1 << f // Q.m
+    return out
+
+
+def q(Q, s) -> set[int]:
+    """The cone of a source subset: s itself, its fibers, and the tip."""
+    return set(_members(q_mask(Q, as_mask(s))))
+
+
+def p(Q, s) -> set[int]:
+    """Project a cone subset to the source."""
+    return set(_members(p_mask(Q, as_mask(s))))
+
+
+def is_flat_in_cone(Q, F) -> bool:
+    """Flat test for subsets of the cone, by the structural description.
+
+    A tip-containing flat is exactly the cone of a flat of the source.
+    A tip-free flat meets each column {e} union T_e at most once, its
+    base part is a flat, and its fiber picks extend that base part
+    independently.
+    """
+    fmask = as_mask(F) & Q.full_mask
+    M = Q.source
+    base = fmask & Q.base_mask
+    if fmask >> Q.tip_id & 1:
+        return M.is_flat_mask(base) and fmask == q_mask(Q, base)
+    fibers = fmask & Q.fiber_mask
+    cnt = fibers.bit_count()
+    for e in range(M.n):
+        col = (fmask >> e & 1) + (fibers & fibers_of(Q, e)).bit_count()
+        if col > 1:
+            return False
+    if not M.is_flat_mask(base):
+        return False
+    proj = p_mask(Q, fibers)
+    return M.rank_mask(base | proj) == M.rank_mask(base) + cnt
+
+
+@dataclass(frozen=True)
+class FlagTuple:
+    """A flag of the source matroid decorated with fiber insertions.
+
+    flag_m: the flats X_0 subset ... subset X_k of M, as bitmasks.
+    h: how many steps of the cone flag stay tip-free, 0 <= h <= k.
+    C: the positions in 1..h at which a single fiber element is added;
+       at the remaining positions the flag advances by a flat of M.
+    fibers: the fiber elements (cone ids), one per position in C taken
+       in increasing position order; the j-th must project into
+       X_{h-|C|+j} - X_{h-|C|+j-1}.
+    """
+
+    flag_m: tuple
+    h: int
+    C: frozenset
+    fibers: tuple
+
+
+def _check_flag_of(M, fl) -> None:
+    k = M.rank_int
+    if len(fl) != k + 1:
+        raise InvalidTuple(f"flag must have {k + 1} flats, got {len(fl)}")
+    prev = None
+    for i, x in enumerate(fl):
+        if not isinstance(x, int):
+            raise InvalidTuple("flag entries must be bitmasks")
+        if x & ~M.full_mask:
+            raise InvalidTuple("flag entry outside the ground set")
+        if not M.is_flat_mask(x) or M.rank_mask(x) != i:
+            raise InvalidTuple(f"entry {i} is not a rank-{i} flat")
+        if prev is not None and (prev & ~x or prev == x):
+            raise InvalidTuple("flag entries must strictly increase")
+        prev = x
+
+
+def flag_tuples(Q):
+    """Stream every decorated flag of Q's source matroid."""
+    M = Q.source
+    k = M.rank_int
+    for fl in flags(M):
+        for h in range(k + 1):
+            for cbits in range(1 << h):
+                C = frozenset(i + 1 for i in range(h) if cbits >> i & 1)
+                c = len(C)
+                layers = []
+                for j in range(1, c + 1):
+                    diff = fl[h - c + j] & ~fl[h - c + j - 1]
+                    layers.append([fid for e in _members(diff) for fid in fiber_ids(Q, e)])
+                for combo in itertools.product(*layers):
+                    yield FlagTuple(tuple(fl), h, C, tuple(combo))
+
+
+def flag_bijection(t: FlagTuple, Q) -> tuple:
+    """Forward map: a decorated flag of M to a flag of Q, as bitmasks."""
+    M = Q.source
+    k = M.rank_int
+    _check_flag_of(M, t.flag_m)
+    if t.flag_m[0] != 0:
+        raise InvalidTuple("source matroid must be loopless")
+    if not 0 <= t.h <= k:
+        raise InvalidTuple(f"h must lie in 0..{k}")
+    if not t.C <= set(range(1, t.h + 1)):
+        raise InvalidTuple("C must be a subset of 1..h")
+    c = len(t.C)
+    if len(t.fibers) != c:
+        raise InvalidTuple("need exactly one fiber element per position in C")
+    for j, y in enumerate(t.fibers, start=1):
+        if not isinstance(y, int) or not (Q.fiber_mask >> y) & 1:
+            raise InvalidTuple(f"{y!r} is not a fiber element")
+        pe = p_mask(Q, 1 << y)
+        if not pe & t.flag_m[t.h - c + j] & ~t.flag_m[t.h - c + j - 1]:
+            raise InvalidTuple(f"fiber {j} must project into layer {t.h - c + j} of the flag")
+    ys = [0]
+    csorted = sorted(t.C)
+    dj = 0
+    for i in range(1, t.h + 1):
+        if i in t.C:
+            y = t.fibers[csorted.index(i)]
+            ys.append(ys[-1] | (1 << y))
+        else:
+            dj += 1
+            ys.append(ys[-1] | t.flag_m[dj])
+    for i in range(t.h + 1, k + 2):
+        ys.append(q_mask(Q, t.flag_m[i - 1]))
+    return tuple(ys)
+
+
+def flag_bijection_inverse(flag_q, Q) -> FlagTuple:
+    """Inverse map: a flag of Q back to the decorated flag of M."""
+    M = Q.source
+    k = M.rank_int
+    fl = tuple(flag_q)
+    if len(fl) != k + 2:
+        raise InvalidTuple(f"a cone flag has {k + 2} flats, got {len(fl)}")
+    prev = None
+    for i, x in enumerate(fl):
+        if not isinstance(x, int) or x & ~Q.full_mask:
+            raise InvalidTuple("flag entries must be bitmasks in the cone")
+        if not Q.is_flat_mask(x) or Q.rank_mask(x) != i:
+            raise InvalidTuple(f"entry {i} is not a rank-{i} flat of the cone")
+        if prev is not None and (prev & ~x or prev == x):
+            raise InvalidTuple("flag entries must strictly increase")
+        prev = x
+    tipbit = 1 << Q.tip_id
+    h = max(i for i in range(k + 2) if not fl[i] & tipbit)
+    if h == k + 1:
+        raise InvalidTuple("the top flat of the cone always contains the tip")
+    xs: list = [None] * (k + 1)
+    for i in range(h + 1, k + 2):
+        xs[i - 1] = fl[i] & Q.base_mask
+        if fl[i] != q_mask(Q, xs[i - 1]):
+            raise InvalidTuple(f"entry {i} is not the cone of its base part")
+    cpos: list[int] = []
+    fibers: list[int] = []
+    dflats: list[int] = []
+    for i in range(1, h + 1):
+        delta = fl[i] & ~fl[i - 1]
+        if delta and not delta & ~Q.fiber_mask and delta.bit_count() == 1:
+            cpos.append(i)
+            fibers.append(delta.bit_length() - 1)
+        elif delta and not delta & ~Q.base_mask:
+            dflats.append(fl[i] & Q.base_mask)
+        else:
+            raise InvalidTuple(f"step {i} mixes base and fiber elements")
+    c = len(cpos)
+    d = h - c
+    xs[0] = 0
+    for j, x in enumerate(dflats, start=1):
+        xs[j] = x
+    for j in range(1, c + 1):
+        pe = p_mask(Q, 1 << fibers[j - 1])
+        if pe & xs[d + j - 1]:
+            raise InvalidTuple(f"fiber at step {cpos[j - 1]} projects into the flag too early")
+        xs[d + j] = M.closure_mask(xs[d + j - 1] | pe)
+    for i in range(k):
+        if xs[i] & ~xs[i + 1] or xs[i] == xs[i + 1]:
+            raise InvalidTuple("recovered source flats are not a flag")
+    _check_flag_of(M, xs)
+    return FlagTuple(tuple(xs), h, frozenset(cpos), tuple(fibers))

@@ -12,7 +12,6 @@ from freecone import (
     catenary_data,
     catenary_of_cone,
     configuration,
-    flags,
     free_m_cone,
     g_invariant,
     higgs_lift,
@@ -33,9 +32,14 @@ from freecone.catalog import (
     uniform,
     verify_separating_claims,
 )
-from freecone.transfer import flag_bijection, flag_bijection_inverse, flag_tuples
-
-from oracles import rank_from_bases, src_counts
+from oracles import (
+    flag_bijection,
+    flag_bijection_inverse,
+    flag_tuples,
+    flags,
+    rank_from_bases,
+    src_counts,
+)
 
 M1, M2 = example_pair()
 

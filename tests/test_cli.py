@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface, in process."""
 
+import contextlib
 import io
 import json
 import os
@@ -9,6 +10,8 @@ from importlib.metadata import entry_points
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freecone.cli
 import freecone.transfer
@@ -71,6 +74,23 @@ def test_validate_bases_document(tmp_path, capsys):
     code, out, _ = _run(capsys, ["validate", _write(tmp_path, "b.json", bad)])
     assert code == 1
     assert json.loads(out)["axiom"] == "basis-exchange"
+
+
+def test_validate_a_set_listed_twice(tmp_path, capsys):
+    flats = [{"set": [], "rank": 0}, {"set": ["a", "b", "c"], "rank": 2}]
+    exact = {"ground_set": ["a", "b", "c"], "cyclic_flats": flats + [flats[1]]}
+    code, out, _ = _run(capsys, ["validate", _write(tmp_path, "exact.json", exact)])
+    assert code == 0 and out == '{"ok":true}\n'
+
+    clash = dict(exact, cyclic_flats=flats + [{"set": ["c", "b", "a"], "rank": 1}])
+    code, out, _ = _run(capsys, ["validate", _write(tmp_path, "clash.json", clash)])
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False,
+        "axiom": "Z0",
+        "witness": [["a", "b", "c"]],
+        "message": "set {0,1,2} appears with two ranks (2 and 1)",
+    }
 
 
 def test_cone_layout(tmp_path, capsys):
@@ -384,6 +404,60 @@ def test_reads_stdin_with_dash(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, ["invariant", "--kind", "catenary", "-"])
     assert code == 0
     assert json.loads(out)["kind"] == "catenary"
+
+
+_MALFORMED = {
+    "not-utf8": b'{"ground_set": ["\xe9"], "cyclic_flats": []}',
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "long-number": b'{"rank": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_bytes_exit_1(tmp_path, capsys, monkeypatch, name):
+    data = _MALFORMED[name]
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    for source in (str(path), "-"):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = _run(capsys, ["validate", source])
+        assert code == 1 and out == "", err
+        assert err.startswith("freecone: parse error: ") and err.count("\n") == 1, err
+        if name == "not-utf8":
+            assert f"byte offset {data.index(0xE9)}" in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_NAME = st.sampled_from(["a", "b", "c", "d"])
+_MATROID_LIKE = st.fixed_dictionaries(
+    {"ground_set": st.lists(_NAME, max_size=4, unique=True)},
+    optional={
+        "cyclic_flats": st.lists(
+            st.fixed_dictionaries(
+                {"set": st.lists(_NAME | _JSON, max_size=4), "rank": st.integers(-1, 4) | _JSON}
+            ),
+            max_size=5,
+        ),
+        "bases": st.lists(st.lists(_NAME | _JSON, max_size=3), max_size=4),
+    },
+)
+
+
+@given(st.binary(max_size=64) | (_JSON | _MATROID_LIKE).map(lambda doc: json.dumps(doc).encode()))
+@settings(max_examples=300, deadline=None)
+def test_validate_exits_with_a_code_on_any_input(data):
+    stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["validate", "-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 3)
 
 
 def _declared_script(name):

@@ -13,14 +13,13 @@ from freecone import (
     free_m_cone,
     from_cyclic_flats,
     higgs_lift,
-    is_flat_in_cone,
     is_isomorphic,
     matroid_from_rank_oracle,
-    p,
-    q,
     variant,
 )
 from freecone.catalog import example_pair, fixture_matroids, separating_pair, uniform
+
+from oracles import is_flat_in_cone, p, p_mask, q
 
 FIXTURES = fixture_matroids()
 
@@ -128,7 +127,7 @@ def test_rank_projection_along_fibers():
     tip = 1 << Q.tip_id
     for s in range(0, 1 << Q.n, 97):  # stride keeps this quick
         drop = 1 if Q.closure_mask(s) & tip else 0
-        pm = Q.p_mask(s & ~tip)
+        pm = p_mask(Q, s & ~tip)
         assert M.rank_mask(pm) == Q.rank_mask(s) - drop
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freecone import (
-    AllCollapse,
     CatenaryData,
     GroundSetTooLarge,
     SrcData,
@@ -16,8 +15,6 @@ from freecone import (
     catenary_data,
     certify_pair,
     characteristic,
-    flags,
-    flags_of_deletion,
     free_m_cone,
     from_bases,
     from_cyclic_flats,
@@ -32,6 +29,9 @@ from freecone.catalog import example_pair, fixture_matroids, separating_pair, un
 from oracles import (
     catenary_counts,
     characteristic_coeffs,
+    coloops_of,
+    flags,
+    flats_by_rank,
     g_counts,
     rank_from_bases,
     src_counts,
@@ -141,19 +141,6 @@ def test_flags_are_strict_chains_of_flats():
                 assert chain[i - 1] & ~f == 0 and chain[i - 1] != f
 
 
-def test_flags_of_deletion_drops_collapsed_chains():
-    # deleting one point of a triangle: flags of the deletion only
-    u23 = uniform(2, 3)
-    kept = list(flags_of_deletion(u23, {2}))
-    assert len(kept) == 2
-
-
-def test_flags_of_deletion_raises_when_rank_drops():
-    u11 = uniform(1, 1)
-    with pytest.raises(AllCollapse):
-        list(flags_of_deletion(u11, {0}))
-
-
 def test_tutte_of_u23_and_example():
     assert tutte(uniform(2, 3)).coeffs == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
     m1 = example_pair()[0]
@@ -162,6 +149,20 @@ def test_tutte_of_u23_and_example():
     assert t.evaluate(2, 1) == sum(
         m1.independent_mask(x) for x in range(1 << m1.n)
     )
+
+
+def test_cyclic_flats_match_the_bases_oracle():
+    # the stored family is exactly the flats without coloops in their
+    # restriction, each found by closing every subset under the bases' rank
+    for name, M in ORACLE_POOL:
+        rank = rank_from_bases(M.bases_masks())
+        want = {
+            (f, r)
+            for r, level in flats_by_rank(M.n, rank).items()
+            for f in level
+            if not coloops_of(M.n, rank, f)
+        }
+        assert len(M.zf) == len(want) and set(M.zf) == want, name
 
 
 def test_tutte_matches_corank_nullity_oracle():

@@ -1,0 +1,52 @@
+"""Each module of the package defines every name in its `__all__` and uses
+every name it imports (a name in `__all__` counts as a use: a re-export)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "freecone"
+
+
+def _bound_by_import(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _defined_at_top(tree):
+    names = set(_bound_by_import(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_exports_are_defined_and_imports_are_used():
+    problems = []
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exports = _exports(tree)
+        defined = _defined_at_top(tree)
+        problems += [f"{path.name}: __all__ names undefined {name!r}" for name in exports
+                     if name not in defined]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exports)
+        problems += [f"{path.name}: {name!r} is imported but unused"
+                     for name in _bound_by_import(tree) if name not in used]
+    assert problems == []

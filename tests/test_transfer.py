@@ -13,17 +13,12 @@ from hypothesis import strategies as st
 from freecone import (
     CatenaryData,
     InconsistentSystem,
-    InvalidTuple,
     MalformedCatenary,
     MalformedSrc,
     SrcData,
     VariantKind,
     catenary_data,
     catenary_of_cone,
-    flag_bijection,
-    flag_bijection_inverse,
-    flag_tuples,
-    flags,
     free_m_cone,
     g_invariant,
     src_data,
@@ -34,7 +29,15 @@ from freecone import (
 )
 from freecone.catalog import example_pair, fixture_matroids, separating_pair, uniform
 
-from oracles import rank_from_bases, src_counts
+from oracles import (
+    InvalidTuple,
+    flag_bijection,
+    flag_bijection_inverse,
+    flag_tuples,
+    flags,
+    rank_from_bases,
+    src_counts,
+)
 
 FIXTURES = fixture_matroids()
 KINDS = list(VariantKind)
