@@ -73,10 +73,7 @@ def _kind(args) -> VariantKind:
 
 
 def _cone_matroid(args):
-    M = _load_matroid(args.file)
-    Q = free_m_cone(M, args.m)
-    kind = _kind(args)
-    return Q if kind is VariantKind.FULL else variant(Q, kind)
+    return variant(free_m_cone(_load_matroid(args.file), args.m), _kind(args))
 
 
 def cmd_validate(args) -> int:

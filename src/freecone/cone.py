@@ -26,10 +26,20 @@ __all__ = [
 
 
 class VariantKind(Enum):
+    """Which parts of the cone a variant keeps: the tip, the base E, or both."""
+
     FULL = "full"
     TIPLESS = "tipless"
     BASELESS = "baseless"
     TIPLESS_BASELESS = "tipless-baseless"
+
+    @property
+    def tip(self) -> bool:
+        return self in (VariantKind.FULL, VariantKind.BASELESS)
+
+    @property
+    def base(self) -> bool:
+        return self in (VariantKind.FULL, VariantKind.TIPLESS)
 
     @classmethod
     def coerce(cls, kind) -> "VariantKind":
@@ -118,15 +128,8 @@ def free_m_cone(M: Matroid, m: int) -> ConeMatroid:
 def variant(Q: ConeMatroid, kind) -> Matroid:
     """Delete the tip, the base, or both; FULL returns Q itself."""
     kind = VariantKind.coerce(kind)
-    if kind is VariantKind.FULL:
-        return Q
-    if kind is VariantKind.TIPLESS:
-        drop = 1 << Q.tip_id
-    elif kind is VariantKind.BASELESS:
-        drop = Q.base_mask
-    else:
-        drop = Q.base_mask | (1 << Q.tip_id)
-    return Q.delete(drop)
+    drop = (0 if kind.tip else 1 << Q.tip_id) | (0 if kind.base else Q.base_mask)
+    return Q.delete(drop) if drop else Q
 
 
 def higgs_lift(M: Matroid) -> Matroid:

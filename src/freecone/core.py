@@ -346,7 +346,8 @@ def from_bases(bases, n: int, names=None) -> Matroid:
     """Build a matroid from its collection of bases.
 
     Checks the exchange property on every ordered pair and raises
-    NotABasisSystem with a witnessing pair when it fails.  The rank
+    NotABasisSystem with a witnessing pair when it fails; ground sets above
+    FLAT_ENUMERATION_BOUND raise GroundSetTooLarge before that check.  The rank
     function used for extraction is r(X) = max over bases B of |X ∩ B|.
     """
     base_masks = sorted({as_mask(b) for b in bases})
@@ -355,6 +356,11 @@ def from_bases(bases, n: int, names=None) -> Matroid:
     for b in base_masks:
         if b < 0 or b >= (1 << n):
             raise NotABasisSystem(f"basis {b:#x} is not a subset of the ground set")
+    # the exchange check is quadratic in the number of bases: refuse first
+    if n > FLAT_ENUMERATION_BOUND:
+        raise GroundSetTooLarge(
+            f"construction from bases supported up to n={FLAT_ENUMERATION_BOUND}, got n={n}"
+        )
     base_set = set(base_masks)
     for b1 in base_masks:
         for b2 in base_masks:

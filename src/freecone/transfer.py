@@ -5,7 +5,12 @@ the flags of a cone or variant from the catenary data of the source;
 reconstruction of the Tutte polynomial of a cone or variant from
 size-rank-coloop data of the source; and reconstruction of the source
 matroid from the configuration of a cone or variant.  Each pipeline is
-held equal to the direct computation in the test suite.  The explicit
+held equal to the direct computation in the test suite.  A variant is
+known by whether it keeps the tip and the base E (`VariantKind.tip`,
+`VariantKind.base`); every formula reads only those.  Reconstruction reads
+the flats of M off the nodes above the cone points and keeps the flats F
+with no flat F - e as its cyclic flats, so it has no element bound; a
+rank-2 source is read from its parallel classes.  The explicit
 bijection between decorated flags of M and flags of the cone, from which
 the catenary formulas are derived, is the test oracle
 `tests/oracles.py::flag_bijection`.  Recovery of size-rank-coloop data
@@ -27,7 +32,6 @@ from .core import (
     Matroid,
     from_cyclic_flats,
     is_isomorphic,
-    matroid_from_rank_oracle,
 )
 from .errors import (
     GroundSetTooLarge,
@@ -60,16 +64,6 @@ __all__ = [
     "CertificateReport",
 ]
 
-# per kind: fiber-and-base multiplier, tip contribution, smallest h,
-# whether the decoration set C ranges freely over subsets of [h]
-_KIND_PARAMS = {
-    VariantKind.FULL: (lambda m: m + 1, 1, 0, True),
-    VariantKind.TIPLESS: (lambda m: m + 1, 0, 1, True),
-    VariantKind.BASELESS: (lambda m: m, 1, 0, False),
-    VariantKind.TIPLESS_BASELESS: (lambda m: m, 0, 1, False),
-}
-
-
 # ---------------------------------------------------------------------------
 # catenary transfer
 
@@ -88,8 +82,11 @@ def catenary_of_cone(catM: CatenaryData, m: int, kind) -> CatenaryData:
     kind = VariantKind.coerce(kind)
     if not isinstance(m, int) or m < 1:
         raise ValidationError("m must be a positive integer")
-    multf, tip, hmin, free_c = _KIND_PARAMS[kind]
-    mult = multf(m)
+    # each source element has m fibers, plus itself when the base is kept;
+    # without the tip the step count h starts at 1, and without the base
+    # every position up to h is a fiber position
+    mult = m + kind.base
+    tip = int(kind.tip)
     k = catM.k
     out: dict = {}
     for a, cnt in catM.counts.items():
@@ -99,8 +96,8 @@ def catenary_of_cone(catM: CatenaryData, m: int, kind) -> CatenaryData:
             raise MalformedCatenary(
                 "first part must be 0: the source must be loopless"
             )
-        for h in range(hmin, k + 1):
-            if free_c:
+        for h in range(1 - tip, k + 1):
+            if kind.base:
                 csets = [
                     tuple(i + 1 for i in range(h) if bits >> i & 1)
                     for bits in range(1 << h)
@@ -174,9 +171,7 @@ def tutte_of_cone_from_src(src: SrcData, m: int, kind) -> TuttePolynomial:
         raise MalformedSrc(f"counts must cover all 2^{n} subsets")
     if any(s == 1 and t == 0 for (s, t, c), v in src.counts.items() if v):
         raise MalformedSrc("source has a loop")
-    with_tip = kind in (VariantKind.FULL, VariantKind.BASELESS)
-    with_base = kind in (VariantKind.FULL, VariantKind.TIPLESS)
-    mult = m + 1 if with_base else m
+    mult = m + kind.base
     mu: dict = {}
 
     def add(size, rank, v):
@@ -192,16 +187,16 @@ def tutte_of_cone_from_src(src: SrcData, m: int, kind) -> TuttePolynomial:
             if not ways:
                 continue
             add(size, t + 1, v * ways)
-            if with_tip:
+            if kind.tip:
                 add(size + 1, t + 1, v * ways)
-        keep = (m + 1) ** c if with_base else (m**s if c == s else 0)
+        keep = (m + 1) ** c if kind.base else (m**s if c == s else 0)
         if keep:
             add(s, t + 1, -v * keep)
             add(s, t, v * keep)
     mu = {key: v for key, v in mu.items() if v}
     if any(v < 0 for v in mu.values()):
         raise MalformedSrc("coloop counts are inconsistent with sizes")
-    n_out = mult * n + (1 if with_tip else 0)
+    n_out = mult * n + kind.tip
     if sum(mu.values()) != 1 << n_out:
         raise MalformedSrc("subset totals do not match the cone ground set")
     K = max((r for (_, r) in mu), default=0)
@@ -210,14 +205,6 @@ def tutte_of_cone_from_src(src: SrcData, m: int, kind) -> TuttePolynomial:
 
 # ---------------------------------------------------------------------------
 # reconstruction from cone configurations
-
-_KIND_MIN_M = {
-    VariantKind.FULL: 1,
-    VariantKind.TIPLESS: 2,
-    VariantKind.BASELESS: 2,
-    VariantKind.TIPLESS_BASELESS: 3,
-}
-
 
 def _find_line_family(cfg: Configuration) -> list[int]:
     """The unique maximum family of rank-2 nodes with at most one node
@@ -266,16 +253,14 @@ def _find_line_family(cfg: Configuration) -> list[int]:
 
 
 def _restored_sizes(cfg: Configuration, kind: VariantKind, m: int, lines) -> list[int]:
+    """Node sizes in the full cone: the tip lies in every node above a
+    line, and a line with s fibers lost its s/m base elements."""
     sizes = [cfg.size(i) for i in range(len(cfg))]
-    if kind in (VariantKind.TIPLESS_BASELESS,):
-        sizes = [
-            s + (1 if cfg.rho(i) > 0 else 0) for i, s in enumerate(sizes)
-        ]
-    if kind is VariantKind.TIPLESS:
+    if not kind.tip:
         for i in range(len(cfg)):
             if any(cfg.leq(l, i) for l in lines):
                 sizes[i] += 1
-    if kind in (VariantKind.BASELESS, VariantKind.TIPLESS_BASELESS):
+    if not kind.base:
         add = [0] * len(cfg)
         for l in lines:
             fibers = sizes[l] - 1
@@ -294,15 +279,16 @@ def _candidates_main(cfg: Configuration, kind: VariantKind, m: int):
     lines = _find_line_family(cfg)
     sizes = _restored_sizes(cfg, kind, m, lines)
     bot = cfg.bottom
-    classes: dict[int, int] = {}
-    for l in lines:
+    masks: dict[int, int] = {}  # each line's parallel class, as elements
+    n = 0
+    for l in sorted(lines):
         stot = sizes[l] - 1
         if stot <= 0 or stot % (m + 1):
             raise NotAConeConfiguration(
                 f"restored node size {sizes[l]} is not 1 plus a multiple of m+1"
             )
         pl = stot // (m + 1)
-        if kind in (VariantKind.FULL, VariantKind.TIPLESS):
+        if kind.base:
             between = cfg.strictly_between(bot, l)
             if between:
                 y = between[0]
@@ -314,85 +300,55 @@ def _candidates_main(cfg: Configuration, kind: VariantKind, m: int):
                 raise NotAConeConfiguration(
                     "a multi-point class must appear as a node under its cone"
                 )
-        classes[l] = pl
-    offsets: dict[int, int] = {}
-    n = 0
-    for l in sorted(lines):
-        offsets[l] = n
-        n += classes[l]
-    flat_of: dict[int, tuple[int, int]] = {}
+        masks[l] = ((1 << pl) - 1) << n
+        n += pl
+    # the nodes above the lines are the nonempty flats of the source; the
+    # empty flat has no line below it, as the source is loopless
+    flats = {0: 0}
     for i in range(len(cfg)):
-        dom = [l for l in lines if cfg.leq(l, i)]
-        if not dom:
-            continue
-        u = 0
-        for l in dom:
-            u |= ((1 << classes[l]) - 1) << offsets[l]
-        flat_of[i] = (u, cfg.rho(i) - 1)
-    # the empty flat has no dominating node; the source is loopless
-    ranked = [(0, 0)] + sorted(flat_of.values(), key=lambda fr: fr[1])
-
-    def rank_fn(x: int) -> int:
-        for u, r in ranked:
-            if not x & ~u:
-                return r
-        raise NotAConeConfiguration("no node spans the whole ground set")
-
-    yield matroid_from_rank_oracle(n, rank_fn)
+        u = sum(mask for l, mask in masks.items() if cfg.leq(l, i))  # disjoint
+        if u:
+            flats[u] = cfg.rho(i) - 1
+    # e is a coloop of M|F iff r(F - e) < r(F), iff F - e is a flat
+    cyclic = [
+        (f, r)
+        for f, r in flats.items()
+        if not any(f & ~(1 << e) in flats for e in range(n) if f >> e & 1)
+    ]
+    yield from_cyclic_flats(cyclic, n)
 
 
 def _candidates_rank2(cfg: Configuration, kind: VariantKind, m: int):
+    """A rank-2 source is its parallel classes; each is a rank-2 node of
+    the cone, and with the base kept one rank-2 node may be E instead."""
     nodes2 = cfg.nodes_of_rho(2)
-    if kind in (VariantKind.FULL, VariantKind.TIPLESS):
-        delta = 1 if kind is VariantKind.FULL else 0
-        for enode in [None, *nodes2]:
-            qnodes = [i for i in nodes2 if i != enode]
-            ps = []
-            ok = True
-            for l in qnodes:
-                s = cfg.size(l) - delta
-                if s <= 0 or s % (m + 1):
-                    ok = False
-                    break
-                ps.append(s // (m + 1))
-            if ok and len(ps) >= 2:
-                yield rank_two(ps)
-    else:
-        delta = 1 if kind is VariantKind.BASELESS else 0
+    for enode in [None, *nodes2] if kind.base else [None]:
         ps = []
         for l in nodes2:
-            s = cfg.size(l) - delta
-            if s <= 0 or s % m:
-                return
-            ps.append(s // m)
-        if len(ps) >= 2:
-            yield rank_two(ps)
-
-
-def _candidates_rank1(cfg: Configuration, kind: VariantKind, m: int):
-    s = cfg.size(cfg.top)
-    delta = 1 if kind in (VariantKind.FULL, VariantKind.BASELESS) else 0
-    mult = m + 1 if kind in (VariantKind.FULL, VariantKind.TIPLESS) else m
-    s -= delta
-    if s <= 0 or s % mult:
-        return
-    n = s // mult
-    if n == 1:
-        yield from_cyclic_flats([(0, 0)], 1)
-    else:
-        yield from_cyclic_flats([(0, 0), ((1 << n) - 1, 1)], n)
+            if l == enode:
+                continue
+            s = cfg.size(l) - kind.tip
+            if s <= 0 or s % (m + kind.base):
+                break
+            ps.append(s // (m + kind.base))
+        else:
+            if len(ps) >= 2:
+                yield rank_two(ps)
 
 
 def reconstruct_from_cone_config(cfg: Configuration, kind, m: int) -> Matroid:
     """Recover the source matroid from the configuration of its cone
     (or of a variant).  The result is unique up to isomorphism; every
     candidate is verified by rebuilding the cone and comparing
-    configurations, so a non-cone input always raises."""
+    configurations, so a non-cone input always raises.
+
+    m must be at least 3 - tip - base: 1 for the full cone, 2 for one
+    part deleted, 3 for both.  There is no bound on the element count;
+    the cost follows the certificate search of the rebuilt configuration."""
     kind = VariantKind.coerce(kind)
-    if not isinstance(m, int) or m < _KIND_MIN_M[kind]:
-        raise ValidationError(
-            f"kind {kind.value} needs m >= {_KIND_MIN_M[kind]}"
-        )
+    min_m = 3 - kind.tip - kind.base
+    if not isinstance(m, int) or m < min_m:
+        raise ValidationError(f"kind {kind.value} needs m >= {min_m}")
     if not isinstance(cfg, Configuration):
         raise ValidationError("cfg must be a Configuration")
     candidates: list[Matroid] = []
@@ -402,16 +358,11 @@ def reconstruct_from_cone_config(cfg: Configuration, kind, m: int) -> Matroid:
         else:
             r_source = cfg.rho(cfg.top) - 1
             try:
-                if r_source >= 3:
-                    gen = _candidates_main(cfg, kind, m)
-                elif r_source == 2:
-                    gen = _candidates_rank2(cfg, kind, m)
-                elif r_source == 1:
-                    gen = _candidates_rank1(cfg, kind, m)
-                else:
-                    gen = iter(())
-                candidates.extend(gen)
-            except (NotAConeConfiguration, GroundSetTooLarge):
+                if r_source == 2:
+                    candidates.extend(_candidates_rank2(cfg, kind, m))
+                elif r_source >= 1:
+                    candidates.extend(_candidates_main(cfg, kind, m))
+            except NotAConeConfiguration:
                 raise
             except MatroidError:
                 candidates = []

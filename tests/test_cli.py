@@ -312,11 +312,13 @@ def test_size_bound_exit_code(tmp_path, capsys):
     assert code == 3
     assert "size bound" in err
 
+    # the second family also fails exchange: the size bound answers first
     names = [f"e{i}" for i in range(17)]
-    bases = _write(tmp_path, "u1-17.json", {"ground_set": names, "bases": [[e] for e in names]})
-    code, _, err = _run(capsys, ["validate", bases])
-    assert code == 3
-    assert "size bound" in err
+    for bases in ([[e] for e in names], [["e0", "e1"], ["e2", "e3"]]):
+        path = _write(tmp_path, "b17.json", {"ground_set": names, "bases": bases})
+        code, _, err = _run(capsys, ["validate", path])
+        assert code == 3
+        assert "size bound" in err
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,13 @@ def test_from_bases_rejects_non_exchange_family():
         from_bases([0b0011, 0b1100], 4)
 
 
+def test_from_bases_checks_the_size_bound_before_exchange():
+    # the family fails exchange too; the bound is checked before the
+    # exchange loop, whose cost is quadratic in the number of bases
+    with pytest.raises(GroundSetTooLarge):
+        from_bases([0b0011, 0b1100], 17)
+
+
 def test_from_bases_rejects_mixed_sizes():
     with pytest.raises(NotABasisSystem):
         from_bases([0b001, 0b011], 3)

@@ -50,3 +50,50 @@ def test_exports_are_defined_and_imports_are_used():
         problems += [f"{path.name}: {name!r} is imported but unused"
                      for name in _bound_by_import(tree) if name not in used]
     assert problems == []
+
+
+def _private_definitions(tree):
+    """Module-level private names and private methods, with their nodes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item.name, item
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_private_names_are_referenced():
+    """A private name or method that nothing outside its own definition
+    reads is dead code left behind."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    refs = [(mod, name, line) for mod, tree in trees.items() for name, line in _references(tree)]
+    unused = []
+    for mod, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(
+                name == rname and (rmod != mod or not node.lineno <= line <= node.end_lineno)
+                for rmod, rname, line in refs
+            ):
+                unused.append(f"{mod}: {name}")
+    assert unused == []

@@ -1,5 +1,7 @@
 """Recovering the source matroid from the configuration of a cone."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,14 @@ from freecone import (
     VariantKind,
     configuration,
     free_m_cone,
+    from_cyclic_flats,
     is_isomorphic,
     reconstruct_from_cone_config,
     variant,
 )
-from freecone.catalog import example_pair, fixture_matroids, uniform
+from freecone.catalog import example_pair, fixture_matroids, rank_two, uniform
+from freecone.cli import main
+from freecone.documents import canonical_json, configuration_to_document, matroid_from_document
 
 FIXTURES = fixture_matroids()
 KINDS = list(VariantKind)
@@ -57,17 +62,46 @@ def test_round_trip_small_ranks():
     small = [
         uniform(0, 0),
         uniform(1, 1),
+        uniform(1, 2),
         uniform(1, 3),
+        uniform(1, 5),
         uniform(2, 2),
         uniform(2, 4),
+        uniform(2, 5),
+        rank_two([3, 1]),
         dict(FIXTURES)["three-pairs"],
         dict(FIXTURES)["pair-plus-two"],
     ]
     for M in small:
         for kind in KINDS:
-            m = _MIN_M[kind]
-            got = reconstruct_from_cone_config(_cone_config(M, m, kind), kind, m)
-            assert is_isomorphic(got, M) is not None, (M, kind)
+            for m in (_MIN_M[kind], _MIN_M[kind] + 1):
+                got = reconstruct_from_cone_config(_cone_config(M, m, kind), kind, m)
+                assert is_isomorphic(got, M) is not None, (M, kind, m)
+
+
+def _three_classes_of_six():
+    """Rank 3 on 18 elements: three parallel classes of six, each pair of
+    classes a line.  Above the 16-element bound of basis enumeration."""
+    classes = [0o77 << 6 * i for i in range(3)]
+    lines = [a | b for i, a in enumerate(classes) for b in classes[i + 1:]]
+    flats = [(0, 0)] + [(p, 1) for p in classes] + [(l, 2) for l in lines]
+    return from_cyclic_flats(flats + [((1 << 18) - 1, 3)], 18)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_round_trip_above_16_elements(kind):
+    M = _three_classes_of_six()
+    m = _MIN_M[kind]
+    got = reconstruct_from_cone_config(_cone_config(M, m, kind), kind, m)
+    assert got.zf == M.zf
+
+
+def test_cli_reconstructs_above_16_elements(tmp_path, capsys):
+    M = _three_classes_of_six()
+    path = tmp_path / "cfg.json"
+    path.write_text(canonical_json(configuration_to_document(_cone_config(M, 1, "full"))))
+    assert main(["reconstruct", "--m", "1", str(path)]) == 0
+    assert matroid_from_document(json.loads(capsys.readouterr().out)).zf == M.zf
 
 
 def test_round_trip_with_coloops_in_the_source():
