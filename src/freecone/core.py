@@ -103,9 +103,6 @@ class Matroid:
     def rank_int(self) -> int:
         return self.rank_mask(self._full)
 
-    def id_of(self, name: str) -> int:
-        return self.names.index(name)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matroid)
@@ -161,9 +158,6 @@ class Matroid:
 
     def coloops_of_restriction_mask(self, x: int) -> int:
         return x & self._minimizers(x)[2]
-
-    def is_cyclic_mask(self, x: int) -> bool:
-        return self.coloops_of_restriction_mask(x) == 0
 
     # -- the flat lattice ----------------------------------------------------
 

@@ -16,6 +16,7 @@ checker can sit below the constructor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -283,13 +284,25 @@ class Configuration:
 
     # -- canonical form --------------------------------------------------------
     #
-    # Individualization plus refinement over the full order relation, with
-    # orbit pruning: whenever two search leaves print the same canonical
-    # string, their colorings compose to an automorphism, and a branch
-    # candidate is skipped when a discovered automorphism fixing the current
-    # path pointwise maps an already-explored sibling onto it.  Skipped
-    # subtrees are images of explored ones, so the minimum over the
-    # remaining leaves, hence the certificate, is unchanged.
+    # Individualization plus refinement over the full order relation.  A
+    # refinement pass keys a node that is alone in its color by that color,
+    # and every other node by its color plus the sorted colors of its strict
+    # down-set and up-set; the color leads every key, so the palette order
+    # and the partition are those of keying every node in full.  The pass
+    # stops once no cell splits.
+    #
+    # Two prunings keep the minimum over the leaves, hence the certificate,
+    # and the first leaf reaching it, hence the canonical order:
+    #  - back-jump: when a leaf prints the certificate of the first or of
+    #    the best leaf, the map between the two leaves is an automorphism
+    #    that fixes their common path prefix and carries the sibling the
+    #    stored leaf descends from onto the current one, so the rest of the
+    #    current subtree at that depth repeats an explored one.  `rec`
+    #    returns the prefix length; deeper frames return at once and the
+    #    frame at that depth goes on with its next sibling.
+    #  - orbit pruning: the automorphisms found so far that fix the current
+    #    path pointwise skip a branch candidate that they map from an
+    #    already-explored sibling.
 
     def _order_sets(self):
         """Strict down-sets and up-sets of every node, as index lists."""
@@ -302,19 +315,22 @@ class Configuration:
 
     def _refine(self, colors: list) -> list[int]:
         down, up = self._order_sets()
-        t = len(self.labels)
         while True:
+            cells = Counter(colors)
+            get = colors.__getitem__
             keys = [
                 (
-                    colors[i],
-                    tuple(sorted(colors[j] for j in down[i])),
-                    tuple(sorted(colors[j] for j in up[i])),
+                    c,
+                    tuple(sorted(map(get, down[i]))),
+                    tuple(sorted(map(get, up[i]))),
                 )
-                for i in range(t)
+                if cells[c] > 1
+                else (c,)
+                for i, c in enumerate(colors)
             ]
             palette = {k: c for c, k in enumerate(sorted(set(keys)))}
             new = [palette[k] for k in keys]
-            if new == colors:
+            if len(palette) == len(cells):
                 return new
             colors = new
 
@@ -373,15 +389,18 @@ class Configuration:
                     break
             if target is None:
                 cert = leaf_cert(colors)
+                jump = len(path)
                 if first[0] is None:
-                    first[0] = (cert, colors)
-                elif cert == first[0][0] and colors != first[0][1]:
+                    first[0] = (cert, colors, path)
+                elif cert == first[0][0]:
                     note_automorphism(first[0][1], colors)
+                    jump = _common_prefix(first[0][2], path)
                 if best[0] is None or cert < best[0][0]:
-                    best[0] = (cert, colors)
-                elif cert == best[0][0] and colors != best[0][1]:
+                    best[0] = (cert, colors, path)
+                elif cert == best[0][0]:
                     note_automorphism(best[0][1], colors)
-                return
+                    jump = min(jump, _common_prefix(best[0][2], path))
+                return jump
             v0 = target[0]
             d0 = self._down[v0] ^ 1 << v0
             u0 = self._up[v0] ^ 1 << v0
@@ -398,22 +417,24 @@ class Configuration:
                 nxt = [(c, 0) for c in colors]
                 for off, v in enumerate(target):
                     nxt[v] = (colors[v], off + 1)
-                rec(nxt, path)
-                return
+                return rec(nxt, path)
             explored: list[int] = []
             for x in target:
                 if in_explored_orbit(x, explored, path):
                     continue
                 explored.append(x)
                 nxt = [(c, 1) if j == x else (c, 0) for j, c in enumerate(colors)]
-                rec(nxt, path + [x])
+                jump = rec(nxt, path + [x])
+                if jump < len(path):
+                    return jump
+            return len(path)
 
         rec([init[lab] for lab in self.labels], [])
         # rec's closure holds rec itself; emptying the cell breaks that
         # cycle, so this configuration is freed by reference counting and
         # not kept until the cyclic collector next runs
         del rec
-        self._cert, self._canon_colors = best[0]
+        self._cert, self._canon_colors, _ = best[0]
 
     @property
     def certificate(self) -> tuple:
@@ -435,6 +456,15 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration(nodes={len(self.labels)}, top={self.labels[self.top]})"
+
+
+def _common_prefix(a: list[int], b: list[int]) -> int:
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return k
 
 
 def _inverse_perm(colors: list[int]) -> list[int]:

@@ -9,7 +9,13 @@ cyclic-flat rank formula, fast enough for the cones of up to 22 elements
 that the bases oracles cannot reach.  validate_axioms and hasse_covers are
 the scanning forms of the package's order queries on cyclic-flat families:
 each join and meet found by a pass over all t members, the order closed by
-a fixpoint loop and reduced by an O(t^3) search.
+a fixpoint loop and reduced by an O(t^3) search.  certificate_search is
+the canonical form of a configuration without the package's back-jumps
+and singleton keys: every subtree that orbit pruning keeps is walked, and
+every refinement pass keys every node by its whole down-set and up-set.
+
+The Matroid surface that only the tests read (id_of, is_cyclic_mask)
+lives here as functions of the matroid.
 
 The last section is the paper's explicit bijection from the decorated
 flags of a loopless M to the flags of its cone Q_m(M), the oracle of the
@@ -28,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from freecone import ValidationError, ValidationReport
+from freecone import Configuration, ValidationError, ValidationReport
 from freecone.core import as_mask
 
 
@@ -39,6 +45,16 @@ def rank_from_bases(bases_masks):
         return max(bin(b & x).count("1") for b in bases)
 
     return rank
+
+
+def id_of(M, name: str) -> int:
+    """The element id of `name` in M."""
+    return M.names.index(name)
+
+
+def is_cyclic_mask(M, x: int) -> bool:
+    """Whether M|x has no coloops."""
+    return M.coloops_of_restriction_mask(x) == 0
 
 
 def closure_of(n: int, rank, x: int) -> int:
@@ -394,6 +410,141 @@ def hasse_covers(labels, covers) -> tuple[list[int], list[tuple[int, int]]]:
     if labels[bottoms[0]][1] != 0:
         raise ValidationError("the least node must have rank 0")
     return leq, cov
+
+
+def reversed_nodes(cfg):
+    """The same configuration with its node indices in reverse order."""
+    t = len(cfg)
+    return Configuration(cfg.labels[::-1], [(t - 1 - i, t - 1 - j) for i, j in cfg.covers])
+
+
+def certificate_search(labels, covers) -> tuple[tuple, list[int]]:
+    """(certificate, canonical order) of a configuration by the search
+    without back-jumps: every subtree is walked in full unless a stored
+    automorphism fixing the path maps an explored sibling onto its root,
+    and every refinement pass keys every node by the sorted colours of
+    its whole strict down-set and up-set.
+
+    `covers` is the Hasse diagram, as in Configuration.covers; sizes grow
+    along covers, so closing the up-sets from the largest node down gives
+    the order."""
+    labels = [tuple(lab) for lab in labels]
+    t = len(labels)
+    succ: list[list[int]] = [[] for _ in range(t)]
+    for lo, hi in covers:
+        succ[lo].append(hi)
+    up_m = [0] * t
+    for i in sorted(range(t), key=lambda i: -labels[i][0]):
+        for hi in succ[i]:
+            up_m[i] |= up_m[hi] | 1 << hi
+    down_m = [sum(1 << j for j in range(t) if up_m[j] >> i & 1) for i in range(t)]
+    down = [_members(row) for row in down_m]
+    up = [_members(row) for row in up_m]
+
+    def refine(colors):
+        while True:
+            keys = [
+                (
+                    colors[i],
+                    tuple(sorted(colors[j] for j in down[i])),
+                    tuple(sorted(colors[j] for j in up[i])),
+                )
+                for i in range(t)
+            ]
+            palette = {k: c for c, k in enumerate(sorted(set(keys)))}
+            new = [palette[k] for k in keys]
+            if new == colors:
+                return new
+            colors = new
+
+    def inverse(colors):
+        out = [0] * t
+        for i, c in enumerate(colors):
+            out[c] = i
+        return out
+
+    init = {lab: c for c, lab in enumerate(sorted(set(labels)))}
+    gens: list[tuple[int, ...]] = []
+    first: list = [None]
+    best: list = [None]
+
+    def leaf_cert(colors):
+        return (
+            tuple(labels[i] for i in inverse(colors)),
+            tuple(sorted((colors[i], colors[j]) for i, j in covers)),
+        )
+
+    def note_automorphism(c1, c2):
+        if len(gens) >= 64:
+            return
+        inv1, inv2 = inverse(c1), inverse(c2)
+        gamma = [0] * t
+        for pos in range(t):
+            gamma[inv1[pos]] = inv2[pos]
+        if any(gamma[i] != i for i in range(t)):
+            gens.append(tuple(gamma))
+
+    def in_explored_orbit(x, explored, path):
+        usable = [g for g in gens if all(g[v] == v for v in path)]
+        if not usable:
+            return False
+        for e in explored:
+            seen = {e}
+            frontier = [e]
+            while frontier:
+                v = frontier.pop()
+                if v == x:
+                    return True
+                for g in usable:
+                    w = g[v]
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append(w)
+            if x in seen:
+                return True
+        return False
+
+    def rec(colors, path):
+        colors = refine(colors)
+        groups: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            groups.setdefault(c, []).append(i)
+        target = None
+        for c in sorted(groups):
+            if len(groups[c]) > 1:
+                target = groups[c]
+                break
+        if target is None:
+            cert = leaf_cert(colors)
+            if first[0] is None:
+                first[0] = (cert, colors)
+            elif cert == first[0][0] and colors != first[0][1]:
+                note_automorphism(first[0][1], colors)
+            if best[0] is None or cert < best[0][0]:
+                best[0] = (cert, colors)
+            elif cert == best[0][0] and colors != best[0][1]:
+                note_automorphism(best[0][1], colors)
+            return
+        v0 = target[0]
+        if all(down_m[v] == down_m[v0] and up_m[v] == up_m[v0] for v in target[1:]):
+            # twins: every ordering of the class gives the same leaves
+            nxt = [(c, 0) for c in colors]
+            for off, v in enumerate(target):
+                nxt[v] = (colors[v], off + 1)
+            rec(nxt, path)
+            return
+        explored: list[int] = []
+        for x in target:
+            if in_explored_orbit(x, explored, path):
+                continue
+            explored.append(x)
+            nxt = [(c, 1) if j == x else (c, 0) for j, c in enumerate(colors)]
+            rec(nxt, path + [x])
+
+    rec([init[lab] for lab in labels], [])
+    del rec
+    cert, colors = best[0]
+    return cert, inverse(colors)
 
 
 # ---------------------------------------------------------------------------

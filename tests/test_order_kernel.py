@@ -192,14 +192,6 @@ def test_configuration_matches_the_reduction_on_perturbed_covers():
     assert min(kinds.values()) >= 100, kinds
 
 
-def _reversed(cfg):
-    """The same configuration with its node indices in reverse order."""
-    t = len(cfg)
-    return Configuration(
-        cfg.labels[::-1], [(t - 1 - i, t - 1 - j) for i, j in cfg.covers]
-    )
-
-
 # bottom, two atoms, two nodes above both atoms, top: the atoms have two
 # minimal common upper bounds and so no join
 BOWTIE = Configuration(
@@ -212,9 +204,9 @@ BOWTIE = Configuration(
     "cfg",
     [
         configuration(free_m_cone(example_pair()[0], 1)),
-        _reversed(configuration(free_m_cone(example_pair()[0], 1))),
+        oracles.reversed_nodes(configuration(free_m_cone(example_pair()[0], 1))),
         BOWTIE,
-        _reversed(BOWTIE),
+        oracles.reversed_nodes(BOWTIE),
     ],
     ids=["cone", "cone-reversed", "bowtie", "bowtie-reversed"],
 )
