@@ -14,8 +14,10 @@ the canonical form of a configuration without the package's back-jumps
 and singleton keys: every subtree that orbit pruning keeps is walked, and
 every refinement pass keys every node by its whole down-set and up-set.
 
-The Matroid surface that only the tests read (id_of, is_cyclic_mask)
-lives here as functions of the matroid.
+The Matroid surface that only the tests read (id_of, is_cyclic_mask,
+is_flat_mask, independent_mask, bases_masks) lives here as functions of
+the matroid, as does covers_by_closure, the flat walk that takes one
+closure per cover: the reference of the one-pass Matroid.covers_mask.
 
 The last section is the paper's explicit bijection from the decorated
 flags of a loopless M to the flags of its cone Q_m(M), the oracle of the
@@ -34,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from freecone import Configuration, ValidationError, ValidationReport
+from freecone import Configuration, ValidationError, ValidationReport, from_cyclic_flats
 from freecone.core import as_mask
 
 
@@ -55,6 +57,46 @@ def id_of(M, name: str) -> int:
 def is_cyclic_mask(M, x: int) -> bool:
     """Whether M|x has no coloops."""
     return M.coloops_of_restriction_mask(x) == 0
+
+
+def is_flat_mask(M, x: int) -> bool:
+    return M.closure_mask(x) == x
+
+
+def independent_mask(M, x: int) -> bool:
+    """X is independent iff |X ∩ Z| ≤ r(Z) for every cyclic flat Z."""
+    return all((x & z).bit_count() <= rz for z, rz in M.zf)
+
+
+def bases_masks(M) -> list[int]:
+    """The bases of M, by testing every r-subset of the non-loops."""
+    nonloops = [e for e in range(M.n) if not M.loops_mask >> e & 1]
+    out = []
+    for combo in itertools.combinations(nonloops, M.rank_int):
+        m = sum(1 << e for e in combo)
+        if independent_mask(M, m):
+            out.append(m)
+    return out
+
+
+def with_loops_and_coloops(M, loops, coloops):
+    """M with `loops` loops and `coloops` coloops added after its elements:
+    the loops join every cyclic flat, the coloops none."""
+    lmask = ((1 << loops) - 1) << M.n
+    return from_cyclic_flats([(z | lmask, r) for z, r in M.zf], M.n + loops + coloops)
+
+
+def covers_by_closure(M, f: int) -> tuple[int, ...]:
+    """Covers of the flat `f`, one closure per cover: they partition the
+    complement of f, so closing f plus the least unseen element visits each
+    cover once, in order of its lowest new element."""
+    covers = []
+    rem = M.full_mask & ~f
+    while rem:
+        g = M.closure_mask(f | rem & -rem)
+        covers.append(g)
+        rem &= ~g
+    return tuple(covers)
 
 
 def closure_of(n: int, rank, x: int) -> int:
@@ -628,14 +670,14 @@ def is_flat_in_cone(Q, F) -> bool:
     M = Q.source
     base = fmask & Q.base_mask
     if fmask >> Q.tip_id & 1:
-        return M.is_flat_mask(base) and fmask == q_mask(Q, base)
+        return is_flat_mask(M, base) and fmask == q_mask(Q, base)
     fibers = fmask & Q.fiber_mask
     cnt = fibers.bit_count()
     for e in range(M.n):
         col = (fmask >> e & 1) + (fibers & fibers_of(Q, e)).bit_count()
         if col > 1:
             return False
-    if not M.is_flat_mask(base):
+    if not is_flat_mask(M, base):
         return False
     proj = p_mask(Q, fibers)
     return M.rank_mask(base | proj) == M.rank_mask(base) + cnt
@@ -670,7 +712,7 @@ def _check_flag_of(M, fl) -> None:
             raise InvalidTuple("flag entries must be bitmasks")
         if x & ~M.full_mask:
             raise InvalidTuple("flag entry outside the ground set")
-        if not M.is_flat_mask(x) or M.rank_mask(x) != i:
+        if not is_flat_mask(M, x) or M.rank_mask(x) != i:
             raise InvalidTuple(f"entry {i} is not a rank-{i} flat")
         if prev is not None and (prev & ~x or prev == x):
             raise InvalidTuple("flag entries must strictly increase")
@@ -740,7 +782,7 @@ def flag_bijection_inverse(flag_q, Q) -> FlagTuple:
     for i, x in enumerate(fl):
         if not isinstance(x, int) or x & ~Q.full_mask:
             raise InvalidTuple("flag entries must be bitmasks in the cone")
-        if not Q.is_flat_mask(x) or Q.rank_mask(x) != i:
+        if not is_flat_mask(Q, x) or Q.rank_mask(x) != i:
             raise InvalidTuple(f"entry {i} is not a rank-{i} flat of the cone")
         if prev is not None and (prev & ~x or prev == x):
             raise InvalidTuple("flag entries must strictly increase")

@@ -33,6 +33,7 @@ from freecone.catalog import (
     verify_separating_claims,
 )
 from oracles import (
+    bases_masks,
     flag_bijection,
     flag_bijection_inverse,
     flag_tuples,
@@ -153,7 +154,7 @@ def test_criterion_09_tutte_pipeline():
         pool.append(("seven-point-separator", separating_pair()[0]))
         for name, M in pool:
             assert M.n <= 8
-            oracle = src_counts(M.n, rank_from_bases(M.bases_masks()))
+            oracle = src_counts(M.n, rank_from_bases(bases_masks(M)))
             assert src_from_g(g_invariant(M)).counts == oracle, name
 
 

@@ -2,6 +2,7 @@
 brute-force oracles that work from explicit basis lists."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,21 +12,30 @@ from freecone import (
     AxiomViolation,
     GroundSetTooLarge,
     NotABasisSystem,
+    VariantKind,
+    free_m_cone,
     from_bases,
     from_cyclic_flats,
     is_isomorphic,
     matroid_from_rank_oracle,
+    validate_axioms,
+    variant,
 )
-from freecone.catalog import fixture_matroids, uniform
+from freecone.catalog import example_pair, fixture_matroids, separating_pair, uniform
 
 from oracles import (
+    bases_masks,
     closure_of,
     coloops_of,
+    covers_by_closure,
     id_of,
+    independent_mask,
     is_cyclic_mask,
     rank_from_bases,
     uniform_bases,
+    with_loops_and_coloops,
 )
+from test_order_kernel import perturbed_families
 
 FIXTURES = fixture_matroids()
 
@@ -40,28 +50,28 @@ def test_rank_against_basis_oracle_on_all_fixtures():
     for name, M in FIXTURES:
         if M.n == 0:
             continue
-        oracle = rank_from_bases(M.bases_masks())
+        oracle = rank_from_bases(bases_masks(M))
         for x in range(1 << M.n):
             assert M.rank_mask(x) == oracle(x), (name, bin(x))
 
 
 def test_uniform_bases_are_all_k_subsets():
     for k, n in [(1, 1), (2, 3), (2, 4), (3, 5)]:
-        assert sorted(uniform(k, n).bases_masks()) == sorted(uniform_bases(k, n))
+        assert sorted(bases_masks(uniform(k, n))) == sorted(uniform_bases(k, n))
 
 
 def test_independence_is_rank_equals_size():
     for name, M in FIXTURES:
         for x in range(1 << M.n):
             want = M.rank_mask(x) == bin(x).count("1")
-            assert M.independent_mask(x) == want, name
+            assert independent_mask(M, x) == want, name
 
 
 def test_closure_matches_oracle():
     for name, M in FIXTURES:
         if M.n == 0:
             continue
-        oracle = rank_from_bases(M.bases_masks())
+        oracle = rank_from_bases(bases_masks(M))
         for x in range(1 << M.n):
             assert M.closure_mask(x) == closure_of(M.n, oracle, x), name
 
@@ -70,7 +80,7 @@ def test_restriction_coloops_and_cyclic_sets_match_oracle():
     for name, M in FIXTURES:
         if M.n == 0:
             continue
-        oracle = rank_from_bases(M.bases_masks())
+        oracle = rank_from_bases(bases_masks(M))
         for x in range(1 << M.n):
             want = coloops_of(M.n, oracle, x)
             assert M.coloops_of_restriction_mask(x) == want, (name, bin(x))
@@ -84,12 +94,77 @@ def test_flats_by_rank_counts_on_the_disjoint_line_pair():
     assert sizes == [1, 6, 11, 1]
 
 
+def _sparse_paving(n, r, blocks, seed):
+    """A sparse paving matroid: `blocks` r-sets, meeting pairwise in at most
+    r - 2 elements, as its circuit-hyperplanes."""
+    combos = [sum(1 << e for e in c) for c in itertools.combinations(range(n), r)]
+    random.Random(seed).shuffle(combos)
+    chosen = []
+    for b in combos:
+        if len(chosen) < blocks and all((b & c).bit_count() <= r - 2 for c in chosen):
+            chosen.append(b)
+    assert len(chosen) == blocks
+    full = (1 << n) - 1
+    return from_cyclic_flats([(0, 0)] + [(b, r - 1) for b in chosen] + [(full, r)], n)
+
+
+def _covers_corpus():
+    """Matroids whose every flat's covers are checked, with a label each."""
+    sources = (
+        [M for _, M in FIXTURES]
+        + list(example_pair())
+        + list(separating_pair())
+        + [uniform(3, 8), uniform(5, 9), uniform(3, 11)]
+    )
+    for i, M in enumerate(sources):
+        yield f"source {i}", M
+        for m in (1, 2):
+            for kind in VariantKind:
+                yield f"source {i} {m}-cone {kind.name}", variant(free_m_cone(M, m), kind)
+    rng = random.Random(5)
+    for i, M in enumerate(sources[:-3]):
+        for loops, coloops in itertools.product(range(3), repeat=2):
+            ext = with_loops_and_coloops(M, loops, coloops)
+            perm = list(range(ext.n))
+            rng.shuffle(perm)
+            yield f"source {i} +{loops}L+{coloops}C", ext.relabel(perm)
+    # the few valid perturbations of rank 12 or more keep one or two cyclic
+    # flats: Boolean-like lattices of up to 2^19 flats, with nothing to merge
+    for j, (n, family) in enumerate(perturbed_families()):
+        if all(z >> n == 0 for z, _ in family) and validate_axioms(family).ok:
+            M = from_cyclic_flats(family, n)
+            if M.rank_int < 12:
+                yield f"perturbation {j}", M
+    for n, r, blocks in ((7, 3, 3), (8, 4, 5), (9, 3, 6), (10, 4, 6)):
+        M = _sparse_paving(n, r, blocks, seed=n)
+        yield f"sparse paving {n, r, blocks}", M
+        yield f"sparse paving {n, r, blocks} 1-cone", free_m_cone(M, 1)
+
+
+def test_covers_match_the_closure_walk():
+    # most flats of the cones have covers holding several overlapping sets
+    # Z - F; every flat is reached through the closure walk's own covers
+    total = 0
+    for label, M in _covers_corpus():
+        bottom = M.closure_mask(0)
+        seen, todo = {bottom}, [bottom]
+        while todo:
+            f = todo.pop()
+            want = covers_by_closure(M, f)
+            assert M.covers_mask(f) == want, (label, bin(f))
+            fresh = [g for g in want if g not in seen]
+            seen.update(fresh)
+            todo += fresh
+        total += len(seen)
+    assert total > 280_000
+
+
 def test_delete_matches_basis_oracle():
     # single elements, and pairs, which can take two elements off one cyclic flat
     for name, M in FIXTURES:
         if M.n < 2:
             continue
-        oracle = rank_from_bases(M.bases_masks())
+        oracle = rank_from_bases(bases_masks(M))
         drops = [{e} for e in range(M.n)]
         drops += [set(pair) for pair in itertools.combinations(range(M.n), 2)]
         for drop in drops:
@@ -117,7 +192,7 @@ def test_from_bases_round_trip():
     for name, M in FIXTURES:
         if M.n == 0 or M.n > 6:
             continue
-        back = from_bases(M.bases_masks(), M.n, names=M.names)
+        back = from_bases(bases_masks(M), M.n, names=M.names)
         assert back.zf == M.zf, name
 
 
@@ -177,7 +252,7 @@ def test_isomorphism_bound():
 def test_empty_matroid():
     e = uniform(0, 0)
     assert e.n == 0 and e.rank_int == 0 and e.is_loopless()
-    assert e.bases_masks() == [0]
+    assert bases_masks(e) == [0]
 
 
 def test_loops_are_the_least_cyclic_flat():
@@ -235,8 +310,8 @@ def test_closure_is_extensive_idempotent_and_rank_preserving(mm):
 @settings(max_examples=60)
 def test_independent_subsets_stay_independent(mm):
     M, x = mm
-    if not M.independent_mask(x):
+    if not independent_mask(M, x):
         return
     for e in range(M.n):
         if x >> e & 1:
-            assert M.independent_mask(x ^ 1 << e)
+            assert independent_mask(M, x ^ 1 << e)

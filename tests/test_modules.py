@@ -80,12 +80,20 @@ def _references(tree):
                 yield alias.name, node.lineno
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _all_references(trees):
+    return [(mod, name, line) for mod, tree in trees.items() for name, line in _references(tree)]
+
+
 def test_private_names_are_referenced():
     """A private name or method that nothing outside its own definition
     reads is dead code left behind."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
-    refs = [(mod, name, line) for mod, tree in trees.items() for name, line in _references(tree)]
+    trees = _trees()
+    refs = _all_references(trees)
     unused = []
     for mod, tree in trees.items():
         for name, node in _private_definitions(tree):
@@ -97,3 +105,27 @@ def test_private_names_are_referenced():
             ):
                 unused.append(f"{mod}: {name}")
     assert unused == []
+
+
+def test_mask_methods_have_callers_in_the_package():
+    """Every public `_mask`/`_masks` method of Matroid and ConeMatroid is
+    read somewhere in the package outside its own definition; one that only
+    the tests call belongs in tests/oracles.py."""
+    trees = _trees()
+    refs = _all_references(trees)
+    checked, uncalled = [], []
+    for mod, cls in (("core.py", "Matroid"), ("cone.py", "ConeMatroid")):
+        (klass,) = [n for n in trees[mod].body if isinstance(n, ast.ClassDef) and n.name == cls]
+        for item in klass.body:
+            if not (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                    and item.name.endswith(("_mask", "_masks"))):
+                continue
+            checked.append(item.name)
+            if not any(
+                name == item.name and (rmod != mod or not item.lineno <= line <= item.end_lineno)
+                for rmod, name, line in refs
+            ):
+                uncalled.append(f"{cls}.{item.name}")
+    assert "covers_mask" in checked
+    assert uncalled == []

@@ -31,6 +31,7 @@ from freecone.catalog import example_pair, fixture_matroids, separating_pair, un
 
 from oracles import (
     InvalidTuple,
+    bases_masks,
     flag_bijection,
     flag_bijection_inverse,
     flag_tuples,
@@ -183,7 +184,7 @@ def test_tutte_transfer_equivalence_sampled(M, m, kind):
 
 
 def _oracle_src(M):
-    return SrcData(M.n, src_counts(M.n, rank_from_bases(M.bases_masks())))
+    return SrcData(M.n, src_counts(M.n, rank_from_bases(bases_masks(M))))
 
 
 def test_src_from_g_on_the_triangle():
