@@ -73,7 +73,7 @@ class ConeMatroid(Matroid):
     no new name is already a source name.
     """
 
-    __slots__ = ("m", "source", "tip_id", "base_mask", "fiber_mask")
+    __slots__ = ("m", "source", "tip_id", "base_mask")
 
     def __init__(self, n, zf, names, m: int, source: Matroid):
         super().__init__(n, zf, names=names)
@@ -81,7 +81,6 @@ class ConeMatroid(Matroid):
         self.source = source
         self.tip_id = (m + 1) * source.n
         self.base_mask = (1 << source.n) - 1
-        self.fiber_mask = self._full & ~(self.base_mask | (1 << self.tip_id))
 
 
 def _cone_names(names, m: int) -> list[str]:

@@ -135,9 +135,6 @@ class Matroid:
                 best = r
         return best
 
-    def rank(self, x: Iterable[int] | int) -> int:
-        return self.rank_mask(as_mask(x) & self._full)
-
     def _minimizers(self, x: int) -> tuple[int, int, int]:
         """r(X), the elements outside every cyclic flat attaining the
         minimum for X, and the elements outside at least one of them."""

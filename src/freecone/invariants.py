@@ -6,11 +6,14 @@ data known to determine it: catenary data counts chains of flats; the
 G-invariant is derived from those flag counts (Bonin and Kung 2018) with
 no permutation enumerated; the size-rank-coloop data is solved from the
 G-invariant; and the Tutte and characteristic polynomials come from its
-(size, rank) marginal.  No subset of the ground set is scanned.  The
-transfer module reproduces several of these from source data alone, and
-the test suite holds them equal to the direct computations and to
-brute-force oracles; the flag stream that catenary data tallies is the
-oracle `tests/oracles.py::flags`.  Counts are exact ints.
+(size, rank) marginal.  No subset of the ground set is scanned.  The flag
+DP stops two levels below the top and folds the hyperplanes and E into
+one step over the covers of the flats there, so it takes the covers of no
+hyperplane, usually the largest level of the lattice.  The transfer
+module reproduces several of these from source data alone, and the test
+suite holds them equal to the direct computations and to brute-force
+oracles; the flag stream that catenary data tallies is the oracle
+`tests/oracles.py::flags`.  Counts are exact ints.
 """
 
 from __future__ import annotations
@@ -183,8 +186,16 @@ def _nonzero(d: dict) -> dict:
 
 def _flag_counts(M: Matroid) -> dict:
     """{composition (a_0, ..., a_k): number of flags}, by dynamic programming
-    over the flat lattice (level by level, carrying composition prefixes
-    per flat).
+    over the flat lattice.
+
+    Up to the flats of rank k - 2 the DP goes level by level, carrying the
+    composition prefixes of the chains that reach each flat.  The last two
+    levels are folded into one step: a flat L of rank k - 2 is covered only
+    by hyperplanes H, and each H only by E, so every prefix of L ends with
+    the tail (|H - L|, |E - H|), counted once per cover H that adds that
+    many elements.  One histogram over the covers of L gives those
+    multiplicities, so no hyperplane is walked: `covers_mask` runs once per
+    flat of rank at most k - 2, not once per flat.
 
     Agrees with tallying every flag of M one by one; the DP form just
     avoids materializing every chain, which matters for cones.
@@ -192,7 +203,11 @@ def _flag_counts(M: Matroid) -> dict:
     k = M.rank_int
     bottom = M.closure_mask(0)
     profiles: dict[int, dict[tuple, int]] = {bottom: {(bottom.bit_count(),): 1}}
-    for _ in range(k):
+    if k == 0:
+        return profiles[bottom]
+    if k == 1:
+        return {(bottom.bit_count(), (M.full_mask & ~bottom).bit_count()): 1}
+    for _ in range(k - 2):
         nxt: dict[int, dict[tuple, int]] = {}
         for f in sorted(profiles):
             prof = profiles[f]
@@ -203,10 +218,18 @@ def _flag_counts(M: Matroid) -> dict:
                     key = pref + (delta,)
                     tgt[key] = tgt.get(key, 0) + c
         profiles = nxt
-    if k == 0:
-        return profiles[bottom]
-    (top_mask, counts), = profiles.items()
-    assert top_mask == M.full_mask or M.rank_mask(top_mask) == k
+    counts: dict[tuple, int] = {}
+    for f, prof in profiles.items():
+        rest = (M.full_mask & ~f).bit_count()
+        hist: dict[int, int] = {}
+        for g in M.covers_mask(f):
+            delta = (g & ~f).bit_count()
+            hist[delta] = hist.get(delta, 0) + 1
+        for delta, mult in hist.items():
+            tail = (delta, rest - delta)
+            for pref, c in prof.items():
+                key = pref + tail
+                counts[key] = counts.get(key, 0) + c * mult
     return counts
 
 

@@ -15,8 +15,8 @@ and singleton keys: every subtree that orbit pruning keeps is walked, and
 every refinement pass keys every node by its whole down-set and up-set.
 
 The Matroid surface that only the tests read (id_of, is_cyclic_mask,
-is_flat_mask, independent_mask, bases_masks) lives here as functions of
-the matroid, as does covers_by_closure, the flat walk that takes one
+is_flat_mask, independent_mask, bases_masks, and fiber_mask of a cone)
+lives here as functions of the matroid, as does covers_by_closure, the flat walk that takes one
 closure per cover: the reference of the one-pass Matroid.covers_mask.
 
 The last section is the paper's explicit bijection from the decorated
@@ -31,6 +31,7 @@ tests flats of the cone by its structural description, with no closure.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,6 +85,20 @@ def with_loops_and_coloops(M, loops, coloops):
     the loops join every cyclic flat, the coloops none."""
     lmask = ((1 << loops) - 1) << M.n
     return from_cyclic_flats([(z | lmask, r) for z, r in M.zf], M.n + loops + coloops)
+
+
+def sparse_paving(n, r, blocks, seed):
+    """A sparse paving matroid: `blocks` r-sets, meeting pairwise in at most
+    r - 2 elements, as its circuit-hyperplanes."""
+    combos = [sum(1 << e for e in c) for c in itertools.combinations(range(n), r)]
+    random.Random(seed).shuffle(combos)
+    chosen = []
+    for b in combos:
+        if len(chosen) < blocks and all((b & c).bit_count() <= r - 2 for c in chosen):
+            chosen.append(b)
+    assert len(chosen) == blocks
+    full = (1 << n) - 1
+    return from_cyclic_flats([(0, 0)] + [(b, r - 1) for b in chosen] + [(full, r)], n)
 
 
 def covers_by_closure(M, f: int) -> tuple[int, ...]:
@@ -626,6 +641,11 @@ def fiber_ids(Q, e: int) -> list[int]:
     return [n + e * Q.m + j for j in range(Q.m)]
 
 
+def fiber_mask(Q) -> int:
+    """Every fiber of the cone: all but the base and the tip."""
+    return Q.full_mask & ~(Q.base_mask | 1 << Q.tip_id)
+
+
 def fibers_of(Q, e: int) -> int:
     return ((1 << Q.m) - 1) << (Q.source.n + e * Q.m)
 
@@ -642,7 +662,7 @@ def p_mask(Q, s: int) -> int:
     """Base elements stay, fibers map to the element under them, and the
     tip has no image."""
     out = s & Q.base_mask
-    fibers = (s & Q.fiber_mask) >> Q.source.n
+    fibers = (s & fiber_mask(Q)) >> Q.source.n
     for f in _members(fibers):
         out |= 1 << f // Q.m
     return out
@@ -671,7 +691,7 @@ def is_flat_in_cone(Q, F) -> bool:
     base = fmask & Q.base_mask
     if fmask >> Q.tip_id & 1:
         return is_flat_mask(M, base) and fmask == q_mask(Q, base)
-    fibers = fmask & Q.fiber_mask
+    fibers = fmask & fiber_mask(Q)
     cnt = fibers.bit_count()
     for e in range(M.n):
         col = (fmask >> e & 1) + (fibers & fibers_of(Q, e)).bit_count()
@@ -751,7 +771,7 @@ def flag_bijection(t: FlagTuple, Q) -> tuple:
     if len(t.fibers) != c:
         raise InvalidTuple("need exactly one fiber element per position in C")
     for j, y in enumerate(t.fibers, start=1):
-        if not isinstance(y, int) or not (Q.fiber_mask >> y) & 1:
+        if not isinstance(y, int) or not (fiber_mask(Q) >> y) & 1:
             raise InvalidTuple(f"{y!r} is not a fiber element")
         pe = p_mask(Q, 1 << y)
         if not pe & t.flag_m[t.h - c + j] & ~t.flag_m[t.h - c + j - 1]:
@@ -801,7 +821,7 @@ def flag_bijection_inverse(flag_q, Q) -> FlagTuple:
     dflats: list[int] = []
     for i in range(1, h + 1):
         delta = fl[i] & ~fl[i - 1]
-        if delta and not delta & ~Q.fiber_mask and delta.bit_count() == 1:
+        if delta and not delta & ~fiber_mask(Q) and delta.bit_count() == 1:
             cpos.append(i)
             fibers.append(delta.bit_length() - 1)
         elif delta and not delta & ~Q.base_mask:

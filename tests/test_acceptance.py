@@ -130,7 +130,7 @@ def test_criterion_08_reconstruction_round_trip():
     with _budget(120, "criterion 8: PASS reconstruction round trips at the minimum m, all rank>=3 fixtures"):
         cases = 0
         for name, M in fixture_matroids():
-            if M.rank(M.full_mask) < 3:
+            if M.rank_mask(M.full_mask) < 3:
                 continue
             for kind, m in _MIN_M.items():
                 cfg = configuration(variant(free_m_cone(M, m), kind))

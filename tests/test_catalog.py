@@ -34,7 +34,7 @@ def test_fixture_collection_shape():
     assert len(fixtures) >= 20
     for name, M in fixtures:
         assert M.n <= 6, name
-        assert M.rank(1) == 1 or M.n == 0, f"{name} has a loop"
+        assert M.rank_mask(1) == 1 or M.n == 0, f"{name} has a loop"
         assert validate_axioms(M.zf).ok, name
 
 
@@ -45,7 +45,7 @@ def test_uniform_rejects_loops():
 
 def test_rank_two_multiset():
     M = rank_two([2, 2, 1])
-    assert M.rank(M.full_mask) == 2
+    assert M.rank_mask(M.full_mask) == 2
     # each class closes to itself
     assert M.closure_mask(0b00011) == 0b00011
     assert M.closure_mask(0b01100) == 0b01100
@@ -53,8 +53,8 @@ def test_rank_two_multiset():
 
 def test_points_and_lines_places_long_lines():
     M = points_and_lines([1, 1, 1, 1], [(0, 1, 2)])
-    assert M.rank(0b0111) == 2
-    assert M.rank(0b1011) == 3
+    assert M.rank_mask(0b0111) == 2
+    assert M.rank_mask(0b1011) == 3
     with pytest.raises(Exception):
         points_and_lines([1, 1, 1, 1], [(0, 1, 2), (0, 1, 3)])
 
@@ -62,7 +62,7 @@ def test_points_and_lines_places_long_lines():
 def test_example_pair_claims():
     M1, M2 = example_pair()
     assert M1.n == M2.n == 6
-    assert M1.rank(M1.full_mask) == M2.rank(M2.full_mask) == 3
+    assert M1.rank_mask(M1.full_mask) == M2.rank_mask(M2.full_mask) == 3
     assert is_isomorphic(M1, M2) is None
     assert g_invariant(M1) == g_invariant(M2)
     assert catenary_data(M1) == catenary_data(M2)

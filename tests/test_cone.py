@@ -19,7 +19,7 @@ from freecone import (
 )
 from freecone.catalog import example_pair, fixture_matroids, separating_pair, uniform
 
-from oracles import is_flat_in_cone, p, p_mask, q
+from oracles import fiber_mask, is_flat_in_cone, p, p_mask, q
 
 FIXTURES = fixture_matroids()
 
@@ -172,6 +172,6 @@ def test_higgs_lift_of_uniform_bumps_the_rank():
 @settings(max_examples=40, deadline=None)
 def test_cone_deletion_of_all_added_elements_recovers_the_source(M, m):
     Q = free_m_cone(M, m)
-    added = Q.fiber_mask | (1 << Q.tip_id)
+    added = fiber_mask(Q) | (1 << Q.tip_id)
     back = Q.delete(added)
     assert back.zf == M.zf

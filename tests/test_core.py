@@ -32,6 +32,7 @@ from oracles import (
     independent_mask,
     is_cyclic_mask,
     rank_from_bases,
+    sparse_paving,
     uniform_bases,
     with_loops_and_coloops,
 )
@@ -94,20 +95,6 @@ def test_flats_by_rank_counts_on_the_disjoint_line_pair():
     assert sizes == [1, 6, 11, 1]
 
 
-def _sparse_paving(n, r, blocks, seed):
-    """A sparse paving matroid: `blocks` r-sets, meeting pairwise in at most
-    r - 2 elements, as its circuit-hyperplanes."""
-    combos = [sum(1 << e for e in c) for c in itertools.combinations(range(n), r)]
-    random.Random(seed).shuffle(combos)
-    chosen = []
-    for b in combos:
-        if len(chosen) < blocks and all((b & c).bit_count() <= r - 2 for c in chosen):
-            chosen.append(b)
-    assert len(chosen) == blocks
-    full = (1 << n) - 1
-    return from_cyclic_flats([(0, 0)] + [(b, r - 1) for b in chosen] + [(full, r)], n)
-
-
 def _covers_corpus():
     """Matroids whose every flat's covers are checked, with a label each."""
     sources = (
@@ -136,7 +123,7 @@ def _covers_corpus():
             if M.rank_int < 12:
                 yield f"perturbation {j}", M
     for n, r, blocks in ((7, 3, 3), (8, 4, 5), (9, 3, 6), (10, 4, 6)):
-        M = _sparse_paving(n, r, blocks, seed=n)
+        M = sparse_paving(n, r, blocks, seed=n)
         yield f"sparse paving {n, r, blocks}", M
         yield f"sparse paving {n, r, blocks} 1-cone", free_m_cone(M, 1)
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from freecone import (
     CatenaryData,
     GroundSetTooLarge,
+    Matroid,
     SrcData,
     TuttePolynomial,
+    VariantKind,
     catenary_data,
     certify_pair,
     characteristic,
@@ -38,6 +40,7 @@ from oracles import (
     is_flat_mask,
     rank_from_bases,
     src_counts,
+    sparse_paving,
     src_scan,
     tutte_coeffs,
     with_loops_and_coloops,
@@ -126,6 +129,66 @@ def test_flag_enumeration_agrees_with_catenary_totals():
     for name, M in FIXTURES:
         count = sum(1 for _ in flags(M))
         assert count == catenary_data(M).flag_count, name
+
+
+def _composition_tally(M) -> dict:
+    """The flags of M streamed one by one, tallied by composition."""
+    tally: dict = {}
+    for chain in flags(M):
+        key = (chain[0].bit_count(),) + tuple(
+            (g & ~f).bit_count() for f, g in zip(chain, chain[1:])
+        )
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def _fold_corpus():
+    """The oracle pool (ranks 0 to 4, loops and coloops), the 1- and
+    2-cones of both pairs in every kind, and sparse paving sources with
+    their 1-cones."""
+    yield from ORACLE_POOL
+    sources = dict(zip(("m1", "m2", "n1", "n2"), example_pair() + separating_pair()))
+    for name, M in sources.items():
+        for m in (1, 2):
+            for kind in VariantKind:
+                yield f"{name} {m}-cone {kind.value}", variant(free_m_cone(M, m), kind)
+    for n, r, blocks in ((7, 3, 3), (8, 4, 5), (10, 4, 6)):
+        M = sparse_paving(n, r, blocks, seed=n)
+        yield f"sparse paving {n, r, blocks}", M
+        yield f"sparse paving {n, r, blocks} 1-cone", free_m_cone(M, 1)
+
+
+def test_catenary_matches_flag_tally_and_chain_oracle():
+    # the DP folds its last two levels into one step over the covers of
+    # each rank k - 2 flat: hold every composition, not only the total, to
+    # the flags streamed one by one, and to the closure of every subset
+    ranks = set()
+    for name, M in _fold_corpus():
+        counts = catenary_data(M).counts
+        assert counts == _composition_tally(M), name
+        if M.n <= 12:
+            assert counts == catenary_counts(M.n, M.rank_mask), name
+        ranks.add(M.rank_int)
+    assert {0, 1, 2, 3, 4} <= ranks
+
+
+def test_catenary_data_walks_no_hyperplane(monkeypatch):
+    # covers are taken once per flat of rank at most r - 2; the hyperplanes'
+    # only cover, E, is never asked for
+    Q = free_m_cone(uniform(3, 11), 2)
+    real = Matroid.covers_mask
+    calls = 0
+
+    def counted(self, f):
+        nonlocal calls
+        calls += 1
+        return real(self, f)
+
+    monkeypatch.setattr(Matroid, "covers_mask", counted)
+    catenary_data(Q)
+    monkeypatch.undo()
+    levels = Q.flats_by_rank()
+    assert calls == sum(len(level) for level in levels[: Q.rank_int - 1]) == 541
 
 
 def test_flags_are_strict_chains_of_flats():
