@@ -152,9 +152,6 @@ class Matroid:
     def closure_mask(self, x: int) -> int:
         return x | (self._full & ~self._minimizers(x)[1])
 
-    def coloops_of_restriction_mask(self, x: int) -> int:
-        return x & self._minimizers(x)[2]
-
     # -- the flat lattice ----------------------------------------------------
 
     def covers_mask(self, f: int) -> tuple[int, ...]:

@@ -1,19 +1,22 @@
 """Invariant computations: G-invariant, catenary data, Tutte polynomial,
 characteristic polynomial, and size-rank-coloop data.
 
-Everything follows the flat lattice, and each invariant is derived from
-data known to determine it: catenary data counts chains of flats; the
-G-invariant is derived from those flag counts (Bonin and Kung 2018) with
-no permutation enumerated; the size-rank-coloop data is solved from the
-G-invariant; and the Tutte and characteristic polynomials come from its
-(size, rank) marginal.  No subset of the ground set is scanned.  The flag
-DP stops two levels below the top and folds the hyperplanes and E into
-one step over the covers of the flats there, so it takes the covers of no
-hyperplane, usually the largest level of the lattice.  The transfer
-module reproduces several of these from source data alone, and the test
-suite holds them equal to the direct computations and to brute-force
-oracles; the flag stream that catenary data tallies is the oracle
-`tests/oracles.py::flags`.  Counts are exact ints.
+Each invariant is derived from data known to determine it: catenary data
+counts chains of flats; the G-invariant is derived from those flag counts
+(Bonin and Kung 2018) with no permutation enumerated; the size-rank-coloop
+data is counted over the intervals of the lattice of cyclic flats, which
+determine the matroid (Bonin and de Mier 2008), with no flat walked; and
+the Tutte and characteristic polynomials come from its (size, rank)
+marginal.  No subset of the ground set is scanned.  The flag DP stops two
+levels below the top and folds the hyperplanes and E into one step over
+the covers of the flats there, so it takes the covers of no hyperplane,
+usually the largest level of the lattice.  `src_from_g` inverts the
+permutation counts of G into size-rank-coloop data; the test suite and
+`certify_pair` hold it equal to `src_data`, two routes with no shared
+code.  The transfer module reproduces several of these from source data
+alone, and the test suite holds them equal to the direct computations and
+to brute-force oracles; the flag stream that catenary data tallies is the
+oracle `tests/oracles.py::flags`.  Counts are exact ints.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._bits import bit_members
 from .core import Matroid
 from .errors import InconsistentSystem, ValidationError
+from .zlattice import _order_masks
 
 __all__ = [
     "GInvariant",
@@ -350,10 +355,91 @@ def src_from_g(g: GInvariant) -> SrcData:
     return SrcData(n, counts)
 
 
+def _unpack(x: int, width: int) -> list[int]:
+    """The slots of a polynomial packed `width` bits per coefficient."""
+    slot = (1 << width) - 1
+    out = []
+    while x:
+        out.append(x & slot)
+        x >>= width
+    return out
+
+
 def src_data(M: Matroid) -> SrcData:
-    """Counts of (|S|, r(S), #coloops of M|S) over all 2^n subsets, from
-    the G-invariant, which determines them (src_from_g)."""
-    return src_from_g(g_invariant(M))
+    """Counts of (|S|, r(S), #coloops of M|S) over all 2^n subsets, by a
+    recursion over the intervals of the lattice of cyclic flats: the subset
+    form of the Kook-Reiner-Stanton convolution, through Bonin and de Mier.
+
+    Every subset X splits uniquely as A + B with A = X ∩ U, U = cl(A) a
+    cyclic flat, A cyclic and spanning in M|U, and B = X - U independent
+    in M/U.  Take A the union of the circuits in X, so B is the set of
+    coloops of M|X and r(X) = r(A) + |B|; U = cl(A) is a cyclic flat, and
+    an element of X ∩ U outside A would be a coloop of M|X in the closure
+    of the rest, so A = X ∩ U; then r_{M/U}(B) >= r(X) - r(U) = |B|.
+    Conversely, for such U, A and B, r(X - b) = r(U + B - b) < r(U + B) =
+    r(X) for b in B, and every element of A lies on a circuit inside A, so
+    B is exactly the set of coloops of M|X.  So X has size |A| + |B|, rank
+    r(U) + |B| and |B| coloops.
+
+    For cyclic flats V < W the cyclic flats of M|W/V are the U - V with U
+    in [V, W], so the same split of the subsets of W - V gives
+
+        C(|W - V|, s) = sum over U in [V, W] of (f(V,U) * g(U,W))(s),
+
+    where f(V,U) counts the cyclic spanning sets of M|U/V and g(U,W) the
+    independent sets of M|W/U by size, and f(V,V) = g(V,V) = [1].  The
+    U = V term is g(V,W), which vanishes above rho = r(W) - r(V); the U = W
+    term is f(V,W), which vanishes up to rho, since a nonempty cyclic set
+    of rank rho has more than rho elements.  One subtraction per interval
+    therefore gives both, split at rho.  The W are taken in (size, mask)
+    order and, for each, the lower ends V from the top down, so every
+    f(V,U) and g(U,W) the sum needs is known.  When M has coloops, E joins
+    as an artificial top: no cyclic flat equals it, so the sum for W = E
+    has no U = E term and leaves f(V,E) = 0.  Then, with L the bottom
+    cyclic flat (the loops), each loop free to join A,
+
+        src(a + l + c, r(U) + c, c) += f(L,U)(a) C(|L|, l) g(U,E)(c).
+
+    Polynomials are packed n + 1 bits per coefficient into one int, so a
+    convolution is one multiplication: every coefficient formed counts
+    subsets of at most n elements and stays below 2^n, so no slot carries
+    into the next.  The cost is one product per chain V < U < W of cyclic
+    flats, whatever n is.
+    """
+    n = M.n
+    zf = list(M.zf)
+    if zf[-1][0] != M.full_mask:
+        zf.append((M.full_mask, M.rank_int))
+    ms = [z for z, _ in zf]
+    up, down = _order_masks(ms)
+    width = n + 1
+    binom = [
+        sum(math.comb(d, s) << width * s for s in range(d + 1)) for d in range(n + 1)
+    ]
+    f: list[dict[int, int]] = [{v: 1} for v in range(len(ms))]  # f[v][u] = f(V,U)
+    for w, (wmask, rw) in enumerate(zf):
+        g = {w: 1}  # g[u] = g(U,W)
+        for v in reversed(bit_members(down[w] & ~(1 << w))):
+            fv = f[v]
+            rest = binom[(wmask & ~ms[v]).bit_count()]
+            for u in bit_members(up[v] & down[w] & ~(1 << v | 1 << w)):
+                rest -= fv[u] * g[u]
+            g[v] = rest & ((1 << width * (rw - zf[v][1] + 1)) - 1)
+            fv[w] = rest - g[v]
+    # the top is the last W, so g now holds g(U,E)
+    loops = binom[ms[0].bit_count()]
+    counts: dict = {}
+    for u, (_, ru) in enumerate(zf):
+        spanning = _unpack(f[0][u] * loops, width)
+        independent = _unpack(g[u], width)
+        for a, x in enumerate(spanning):
+            if not x:
+                continue
+            for c, y in enumerate(independent):
+                if y:
+                    key = (a + c, ru + c, c)
+                    counts[key] = counts.get(key, 0) + x * y
+    return SrcData(n, counts)
 
 
 def tutte(M: Matroid) -> TuttePolynomial:

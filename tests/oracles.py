@@ -55,9 +55,15 @@ def id_of(M, name: str) -> int:
     return M.names.index(name)
 
 
+def coloops_of_restriction_mask(M, x: int) -> int:
+    """The coloops of M|x: the elements of x outside some cyclic flat that
+    attains the minimum for x, the rule `Matroid.delete` reads."""
+    return x & M._minimizers(x)[2]
+
+
 def is_cyclic_mask(M, x: int) -> bool:
     """Whether M|x has no coloops."""
-    return M.coloops_of_restriction_mask(x) == 0
+    return coloops_of_restriction_mask(M, x) == 0
 
 
 def is_flat_mask(M, x: int) -> bool:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -15,9 +16,14 @@ from hypothesis import strategies as st
 
 import freecone.cli
 import freecone.transfer
-from freecone import catenary_data, configuration, free_m_cone
+from freecone import catenary_data, configuration, free_m_cone, tutte
 from freecone.cli import main
-from freecone.documents import canonical_json, matroid_from_document, matroid_to_document
+from freecone.documents import (
+    canonical_json,
+    matroid_from_document,
+    matroid_to_document,
+    tutte_to_document,
+)
 from freecone.catalog import example_pair, separating_pair, uniform
 
 REPO = Path(__file__).resolve().parents[1]
@@ -206,6 +212,16 @@ def test_transfer_tutte_matches_cone_pipeline(tmp_path, capsys):
     assert transferred == direct
 
 
+def test_invariant_tutte_of_a_large_uniform_matroid(tmp_path, capsys):
+    # 2^20 subsets but two cyclic flats: counted over the one interval
+    path = _write(tmp_path, "u1020.json", matroid_to_document(uniform(10, 20)))
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["invariant", "--kind", "tutte", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == tutte_to_document(tutte(uniform(10, 20)))
+
+
 def test_reconstruct_round_trip(tmp_path, capsys):
     src = _m1(tmp_path)
     code, cone_doc, _ = _run(capsys, ["cone", "--m", "1", src])
@@ -286,7 +302,8 @@ def test_certify_pair(tmp_path, capsys):
 
 def test_certify_pair_exits_4_when_g_disagrees_with_subset_scan(tmp_path, capsys, monkeypatch):
     # a G of the right shape but of another matroid: both sources get it,
-    # so the G leg still passes and only the subset-scan cross-check can object
+    # so the G leg still passes and only the cross-check against the src
+    # data of the cyclic-flat intervals can object
     wrong = freecone.transfer.g_invariant(uniform(M1.rank_int, M1.n))
     monkeypatch.setattr(freecone.transfer, "g_invariant", lambda M: wrong)
     code, out, _ = _run(capsys, ["certify-pair", "--m", "1", _m1(tmp_path), _m2(tmp_path)])
