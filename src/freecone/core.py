@@ -29,6 +29,11 @@ so the covers of F are F plus each connected component of the nonempty
 sets Z - F (Z in S), and F + e for each e in none of them.  The flat walk
 takes one pass over the t cyclic flats per flat, not one closure per
 cover.
+
+The cyclic flats with ranks also determine the matroid up to relabelling,
+so isomorphism has no search of its own: is_isomorphic compares the
+canonical certificates of the element/cyclic-flat incidence posets, from
+the search that decides configuration equality (zlattice._canonical).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ._bits import as_mask, bit_members
 from .errors import AxiomViolation, GroundSetTooLarge, NotABasisSystem, ValidationError
-from .zlattice import validate_axioms
+from .zlattice import _canonical, _covers, _inverse_perm, _order_masks, validate_axioms
 
 __all__ = [
     "Matroid",
@@ -53,7 +58,6 @@ __all__ = [
 # rank-oracle extraction.  Walking the flat lattice (flats_by_rank) has no
 # element bound: its cost follows the number of flats, not n.
 FLAT_ENUMERATION_BOUND = 16
-ISOMORPHISM_BOUND = 10
 
 
 def _compress_mask(mask: int, kept: Sequence[int]) -> int:
@@ -386,88 +390,50 @@ def from_bases(bases, n: int, names=None) -> Matroid:
 def is_isomorphic(M: Matroid, N: Matroid):
     """A ground-set bijection carrying Z(M) with ranks onto Z(N), or None.
 
-    Backtracking over element images, pruned by per-element and per-pair
-    incidence signatures over the cyclic-flat families.  Returns the
-    bijection as a tuple (image of 0, image of 1, ...).  Supported up to
-    ISOMORPHISM_BOUND elements.
+    A matroid is determined by its cyclic flats with their ranks (Bonin and
+    de Mier), so M and N are isomorphic exactly when their incidence posets
+    are: the elements as minimal nodes with a label no flat has, the
+    cyclic flats labelled (size, rank), and e < Z when e is in Z.  Two
+    O(n·t) checks reject most pairs first: the multisets of flat labels,
+    and of per-element signatures (the sorted labels of the flats that
+    contain the element).  Otherwise the canonical certificates of the two
+    posets decide, and the canonical orders compose into the bijection,
+    returned as a tuple (image of 0, image of 1, ...).
     """
     if M.n != N.n:
         return None
-    n = M.n
-    if n > ISOMORPHISM_BOUND:
-        raise GroundSetTooLarge(
-            f"isomorphism search supported up to n={ISOMORPHISM_BOUND}, got n={n}"
-        )
     if sorted((z.bit_count(), r) for z, r in M.zf) != sorted(
         (z.bit_count(), r) for z, r in N.zf
     ):
         return None
 
     def elem_sigs(mat: Matroid):
-        return [
+        return sorted(
             tuple(sorted((z.bit_count(), r) for z, r in mat.zf if z >> e & 1))
-            for e in range(n)
-        ]
+            for e in range(mat.n)
+        )
 
-    sm, sn = elem_sigs(M), elem_sigs(N)
-    if sorted(sm) != sorted(sn):
+    if elem_sigs(M) != elem_sigs(N):
         return None
+    cert_m, colors_m = _incidence_canonical(M)
+    cert_n, colors_n = _incidence_canonical(N)
+    if cert_m != cert_n:
+        return None
+    # elements carry the least label, so they fill positions 0..n-1
+    order_n = _inverse_perm(colors_n)
+    return tuple(order_n[colors_m[e]] for e in range(M.n))
 
-    def pair_sig(mat: Matroid, i: int, j: int):
-        both = (1 << i) | (1 << j)
-        return tuple(sorted((z.bit_count(), r) for z, r in mat.zf if z & both == both))
 
-    pm = {}
-    pn = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pm[i, j] = pair_sig(M, i, j)
-            pn[i, j] = pair_sig(N, i, j)
-
-    # rare signatures first shrinks the branching factor
-    freq: dict = {}
-    for s in sm:
-        freq[s] = freq.get(s, 0) + 1
-    order = sorted(range(n), key=lambda e: (freq[sm[e]], e))
-    target = sorted(N.zf)
-    perm = [-1] * n
-    used = [False] * n
-
-    def leaf_ok() -> bool:
-        mapped = []
-        for z, r in M.zf:
-            m = 0
-            for e in bit_members(z):
-                m |= 1 << perm[e]
-            mapped.append((m, r))
-        return sorted(mapped) == target
-
-    def bt(idx: int) -> bool:
-        if idx == n:
-            return leaf_ok()
-        e = order[idx]
-        for f in range(n):
-            if used[f] or sn[f] != sm[e]:
-                continue
-            ok = True
-            for prev in range(idx):
-                e2 = order[prev]
-                f2 = perm[e2]
-                a = pm[min(e, e2), max(e, e2)]
-                b = pn[min(f, f2), max(f, f2)]
-                if a != b:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            perm[e] = f
-            used[f] = True
-            if bt(idx + 1):
-                return True
-            perm[e] = -1
-            used[f] = False
-        return False
-
-    if bt(0):
-        return tuple(perm)
-    return None
+def _incidence_canonical(M: Matroid) -> tuple[tuple, list[int]]:
+    """`_canonical` of the element/cyclic-flat incidence poset of M: node
+    e < n is element e, node n + i is the cyclic flat M.zf[i]."""
+    n = M.n
+    zs = [z for z, _ in M.zf]
+    up_z, down_z = _order_masks(zs)
+    up = [1 << e for e in range(n)] + [row << n for row in up_z]
+    down = up[:n] + [z | row << n for z, row in zip(zs, down_z)]
+    for i, z in enumerate(zs):
+        for e in bit_members(z):
+            up[e] |= 1 << n + i
+    labels = [(-1, -1)] * n + [(z.bit_count(), r) for z, r in M.zf]
+    return _canonical(labels, up, down, _covers(up, down))

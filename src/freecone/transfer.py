@@ -417,7 +417,7 @@ def certify_pair(M: Matroid, N: Matroid, m: int) -> CertificateReport:
     report.legs.append(
         {
             "claim": "the two matroids are not isomorphic",
-            "method": "cyclic-flat backtracking isomorphism search",
+            "method": "canonical certificates of the element/cyclic-flat incidence posets",
             "passed": perm is None,
             "witness": None if perm is None else {"isomorphism": list(perm)},
         }

@@ -9,6 +9,10 @@ when it satisfies the axioms checked by :func:`validate_axioms`:
   Z2  0 < r(Y) - r(X) < |Y - X| for members X ⊊ Y;
   Z3  r(X∨Y) + r(X∧Y) + |(X∩Y) - (X∧Y)| ≤ r(X) + r(Y).
 
+The canonical form of a labelled poset, `_canonical`, decides both the
+equality of configurations and, on element/cyclic-flat incidence posets,
+the isomorphism of matroids (`core.is_isomorphic`).
+
 Nothing in this module imports the Matroid class; functions that accept a
 matroid use only its rank oracle or its stored cyclic flats, so the axiom
 checker can sit below the constructor.
@@ -176,8 +180,9 @@ class Configuration:
 
     Nodes carry (size, rank) labels; `covers` lists (lower, upper) index
     pairs.  Two configurations are equal when a poset isomorphism matches
-    both labels; equality is decided through a canonical certificate
-    (color refinement plus individualization, exact at desk scale).
+    both labels; equality compares the canonical certificates of
+    `_canonical`, the exact individualization-refinement search that also
+    decides matroid isomorphism.
 
     `coloop_count` rides along for reporting because the lattice alone
     cannot see coloops; it is deliberately not part of equality.
@@ -193,7 +198,6 @@ class Configuration:
         "_top",
         "_cert",
         "_canon_colors",
-        "_ordsets",
     )
 
     def __init__(
@@ -242,7 +246,6 @@ class Configuration:
         self._top = tops[0]
         self._cert = None
         self._canon_colors = None
-        self._ordsets = None
 
     # -- poset views ---------------------------------------------------------
 
@@ -283,158 +286,9 @@ class Configuration:
         return bit_members(self._up[lo] & self._down[hi] & ~(1 << lo | 1 << hi))
 
     # -- canonical form --------------------------------------------------------
-    #
-    # Individualization plus refinement over the full order relation.  A
-    # refinement pass keys a node that is alone in its color by that color,
-    # and every other node by its color plus the sorted colors of its strict
-    # down-set and up-set; the color leads every key, so the palette order
-    # and the partition are those of keying every node in full.  The pass
-    # stops once no cell splits.
-    #
-    # Two prunings keep the minimum over the leaves, hence the certificate,
-    # and the first leaf reaching it, hence the canonical order:
-    #  - back-jump: when a leaf prints the certificate of the first or of
-    #    the best leaf, the map between the two leaves is an automorphism
-    #    that fixes their common path prefix and carries the sibling the
-    #    stored leaf descends from onto the current one, so the rest of the
-    #    current subtree at that depth repeats an explored one.  `rec`
-    #    returns the prefix length; deeper frames return at once and the
-    #    frame at that depth goes on with its next sibling.
-    #  - orbit pruning: the automorphisms found so far that fix the current
-    #    path pointwise skip a branch candidate that they map from an
-    #    already-explored sibling.
-
-    def _order_sets(self):
-        """Strict down-sets and up-sets of every node, as index lists."""
-        if self._ordsets is None:
-            self._ordsets = tuple(
-                [bit_members(row ^ 1 << i) for i, row in enumerate(rows)]
-                for rows in (self._down, self._up)
-            )
-        return self._ordsets
-
-    def _refine(self, colors: list) -> list[int]:
-        down, up = self._order_sets()
-        while True:
-            cells = Counter(colors)
-            get = colors.__getitem__
-            keys = [
-                (
-                    c,
-                    tuple(sorted(map(get, down[i]))),
-                    tuple(sorted(map(get, up[i]))),
-                )
-                if cells[c] > 1
-                else (c,)
-                for i, c in enumerate(colors)
-            ]
-            palette = {k: c for c, k in enumerate(sorted(set(keys)))}
-            new = [palette[k] for k in keys]
-            if len(palette) == len(cells):
-                return new
-            colors = new
 
     def _search(self) -> None:
-        t = len(self.labels)
-        init = {lab: c for c, lab in enumerate(sorted(set(self.labels)))}
-        gens: list[tuple[int, ...]] = []
-        first: list = [None]
-        best: list = [None]
-
-        def leaf_cert(colors):
-            pos_to_node = _inverse_perm(colors)
-            labels = tuple(self.labels[i] for i in pos_to_node)
-            covers = tuple(sorted((colors[i], colors[j]) for i, j in self.covers))
-            return (labels, covers)
-
-        def note_automorphism(c1, c2):
-            if len(gens) >= 64:
-                return
-            inv1, inv2 = _inverse_perm(c1), _inverse_perm(c2)
-            gamma = [0] * t
-            for pos in range(t):
-                gamma[inv1[pos]] = inv2[pos]
-            if any(gamma[i] != i for i in range(t)):
-                gens.append(tuple(gamma))
-
-        def in_explored_orbit(x, explored, path):
-            usable = [g for g in gens if all(g[v] == v for v in path)]
-            if not usable:
-                return False
-            for e in explored:
-                seen = {e}
-                frontier = [e]
-                while frontier:
-                    v = frontier.pop()
-                    if v == x:
-                        return True
-                    for g in usable:
-                        w = g[v]
-                        if w not in seen:
-                            seen.add(w)
-                            frontier.append(w)
-                if x in seen:
-                    return True
-            return False
-
-        def rec(colors, path):
-            colors = self._refine(colors)
-            groups: dict[int, list[int]] = {}
-            for i, c in enumerate(colors):
-                groups.setdefault(c, []).append(i)
-            target = None
-            for c in sorted(groups):
-                if len(groups[c]) > 1:
-                    target = groups[c]
-                    break
-            if target is None:
-                cert = leaf_cert(colors)
-                jump = len(path)
-                if first[0] is None:
-                    first[0] = (cert, colors, path)
-                elif cert == first[0][0]:
-                    note_automorphism(first[0][1], colors)
-                    jump = _common_prefix(first[0][2], path)
-                if best[0] is None or cert < best[0][0]:
-                    best[0] = (cert, colors, path)
-                elif cert == best[0][0]:
-                    note_automorphism(best[0][1], colors)
-                    jump = min(jump, _common_prefix(best[0][2], path))
-                return jump
-            v0 = target[0]
-            d0 = self._down[v0] ^ 1 << v0
-            u0 = self._up[v0] ^ 1 << v0
-            if all(
-                self._down[v] ^ 1 << v == d0 and self._up[v] ^ 1 << v == u0
-                for v in target[1:]
-            ):
-                # Twins: equal labels and the same relation to every node
-                # outside the class (equal down sets force pairwise
-                # incomparability, since a node is never in its own down
-                # set).  Every transposition inside the class is then an
-                # automorphism, so all |class|! orderings give the same
-                # leaf certificates; split in one deterministic step.
-                nxt = [(c, 0) for c in colors]
-                for off, v in enumerate(target):
-                    nxt[v] = (colors[v], off + 1)
-                return rec(nxt, path)
-            explored: list[int] = []
-            for x in target:
-                if in_explored_orbit(x, explored, path):
-                    continue
-                explored.append(x)
-                nxt = [(c, 1) if j == x else (c, 0) for j, c in enumerate(colors)]
-                jump = rec(nxt, path + [x])
-                if jump < len(path):
-                    return jump
-            return len(path)
-
-        rec([init[lab] for lab in self.labels], [])
-        # rec's closure holds rec itself; emptying the cell breaks that
-        # cycle, so this configuration is freed by reference counting and
-        # not kept until the cyclic collector next runs
-        del rec
-        self._cert, self._canon_colors, _ = best[0]
+        self._cert, self._canon_colors = _canonical(self.labels, self._up, self._down, self.covers)
 
     @property
     def certificate(self) -> tuple:
@@ -456,6 +310,166 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration(nodes={len(self.labels)}, top={self.labels[self.top]})"
+
+
+# -- canonical form ------------------------------------------------------------
+#
+# Individualization plus refinement over the full order relation.  A
+# refinement pass keys a node that is alone in its color by that color,
+# and every other node by its color plus the sorted colors of its strict
+# down-set and up-set; the color leads every key, so the palette order
+# and the partition are those of keying every node in full.  The pass
+# stops once no cell splits.
+#
+# Two prunings keep the minimum over the leaves, hence the certificate,
+# and the first leaf reaching it, hence the canonical order:
+#  - back-jump: when a leaf prints the certificate of the first or of
+#    the best leaf, the map between the two leaves is an automorphism
+#    that fixes their common path prefix and carries the sibling the
+#    stored leaf descends from onto the current one, so the rest of the
+#    current subtree at that depth repeats an explored one.  `rec`
+#    returns the prefix length; deeper frames return at once and the
+#    frame at that depth goes on with its next sibling.
+#  - orbit pruning: the automorphisms found so far that fix the current
+#    path pointwise skip a branch candidate that they map from an
+#    already-explored sibling.
+
+
+def _refine(colors: list, down: list[list[int]], up: list[list[int]]) -> list[int]:
+    while True:
+        cells = Counter(colors)
+        get = colors.__getitem__
+        keys = [
+            (
+                c,
+                tuple(sorted(map(get, down[i]))),
+                tuple(sorted(map(get, up[i]))),
+            )
+            if cells[c] > 1
+            else (c,)
+            for i, c in enumerate(colors)
+        ]
+        palette = {k: c for c, k in enumerate(sorted(set(keys)))}
+        new = [palette[k] for k in keys]
+        if len(palette) == len(cells):
+            return new
+        colors = new
+
+
+def _canonical(labels, up, down, covers) -> tuple[tuple, list[int]]:
+    """(certificate, canonical colors) of a labelled poset.
+
+    `up[i]` and `down[i]` are the bitmasks of the nodes above and below
+    node i, i itself included; `covers` is any list of (lower, upper)
+    pairs that determines the order, such as its Hasse diagram.  The
+    certificate is the labels in canonical position order with the
+    covers renumbered by position, so two labelled posets are isomorphic
+    exactly when their certificates are equal; the colors give each
+    node's position, and composing one poset's colors with the inverse
+    of the other's is an isomorphism.
+    """
+    t = len(labels)
+    strict_down, strict_up = (
+        [bit_members(row ^ 1 << i) for i, row in enumerate(rows)] for rows in (down, up)
+    )
+    init = {lab: c for c, lab in enumerate(sorted(set(labels)))}
+    gens: list[tuple[int, ...]] = []
+    first: list = [None]
+    best: list = [None]
+
+    def leaf_cert(colors):
+        pos_to_node = _inverse_perm(colors)
+        return (
+            tuple(labels[i] for i in pos_to_node),
+            tuple(sorted((colors[i], colors[j]) for i, j in covers)),
+        )
+
+    def note_automorphism(c1, c2):
+        if len(gens) >= 64:
+            return
+        inv1, inv2 = _inverse_perm(c1), _inverse_perm(c2)
+        gamma = [0] * t
+        for pos in range(t):
+            gamma[inv1[pos]] = inv2[pos]
+        if any(gamma[i] != i for i in range(t)):
+            gens.append(tuple(gamma))
+
+    def in_explored_orbit(x, explored, path):
+        usable = [g for g in gens if all(g[v] == v for v in path)]
+        if not usable:
+            return False
+        for e in explored:
+            seen = {e}
+            frontier = [e]
+            while frontier:
+                v = frontier.pop()
+                if v == x:
+                    return True
+                for g in usable:
+                    w = g[v]
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append(w)
+            if x in seen:
+                return True
+        return False
+
+    def rec(colors, path):
+        colors = _refine(colors, strict_down, strict_up)
+        groups: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            groups.setdefault(c, []).append(i)
+        target = None
+        for c in sorted(groups):
+            if len(groups[c]) > 1:
+                target = groups[c]
+                break
+        if target is None:
+            cert = leaf_cert(colors)
+            jump = len(path)
+            if first[0] is None:
+                first[0] = (cert, colors, path)
+            elif cert == first[0][0]:
+                note_automorphism(first[0][1], colors)
+                jump = _common_prefix(first[0][2], path)
+            if best[0] is None or cert < best[0][0]:
+                best[0] = (cert, colors, path)
+            elif cert == best[0][0]:
+                note_automorphism(best[0][1], colors)
+                jump = min(jump, _common_prefix(best[0][2], path))
+            return jump
+        v0 = target[0]
+        d0 = down[v0] ^ 1 << v0
+        u0 = up[v0] ^ 1 << v0
+        if all(down[v] ^ 1 << v == d0 and up[v] ^ 1 << v == u0 for v in target[1:]):
+            # Twins: equal labels and the same relation to every node
+            # outside the class (equal down sets force pairwise
+            # incomparability, since a node is never in its own down
+            # set).  Every transposition inside the class is then an
+            # automorphism, so all |class|! orderings give the same
+            # leaf certificates; split in one deterministic step.
+            nxt = [(c, 0) for c in colors]
+            for off, v in enumerate(target):
+                nxt[v] = (colors[v], off + 1)
+            return rec(nxt, path)
+        explored: list[int] = []
+        for x in target:
+            if in_explored_orbit(x, explored, path):
+                continue
+            explored.append(x)
+            nxt = [(c, 1) if j == x else (c, 0) for j, c in enumerate(colors)]
+            jump = rec(nxt, path + [x])
+            if jump < len(path):
+                return jump
+        return len(path)
+
+    rec([init[lab] for lab in labels], [])
+    # rec's closure holds rec itself; emptying the cell breaks that cycle,
+    # so the poset is freed by reference counting and not kept until the
+    # cyclic collector next runs
+    del rec
+    cert, colors, _ = best[0]
+    return cert, colors
 
 
 def _common_prefix(a: list[int], b: list[int]) -> int:

@@ -13,6 +13,8 @@ a fixpoint loop and reduced by an O(t^3) search.  certificate_search is
 the canonical form of a configuration without the package's back-jumps
 and singleton keys: every subtree that orbit pruning keeps is walked, and
 every refinement pass keys every node by its whole down-set and up-set.
+isomorphism_backtrack, the reference of is_isomorphic, tries element
+images one by one, pruned by incidence signatures, with no canonical form.
 
 The Matroid surface that only the tests read (id_of, is_cyclic_mask,
 is_flat_mask, independent_mask, bases_masks, and fiber_mask of a cone)
@@ -608,6 +610,92 @@ def certificate_search(labels, covers) -> tuple[tuple, list[int]]:
     del rec
     cert, colors = best[0]
     return cert, inverse(colors)
+
+
+def isomorphism_backtrack(M, N):
+    """A ground-set bijection carrying Z(M) with ranks onto Z(N), or None,
+    by backtracking over element images: the reference of is_isomorphic,
+    with no search in common.
+
+    Candidates are pruned by per-element and per-pair incidence signatures
+    over the cyclic-flat families, and elements with rare signatures are
+    placed first.  Returns the bijection as a tuple (image of 0, ...)."""
+    if M.n != N.n:
+        return None
+    n = M.n
+    if sorted((z.bit_count(), r) for z, r in M.zf) != sorted(
+        (z.bit_count(), r) for z, r in N.zf
+    ):
+        return None
+
+    def elem_sigs(mat):
+        return [
+            tuple(sorted((z.bit_count(), r) for z, r in mat.zf if z >> e & 1))
+            for e in range(n)
+        ]
+
+    sm, sn = elem_sigs(M), elem_sigs(N)
+    if sorted(sm) != sorted(sn):
+        return None
+
+    def pair_sig(mat, i: int, j: int):
+        both = (1 << i) | (1 << j)
+        return tuple(sorted((z.bit_count(), r) for z, r in mat.zf if z & both == both))
+
+    pm = {}
+    pn = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            pm[i, j] = pair_sig(M, i, j)
+            pn[i, j] = pair_sig(N, i, j)
+
+    # rare signatures first shrinks the branching factor
+    freq: dict = {}
+    for s in sm:
+        freq[s] = freq.get(s, 0) + 1
+    order = sorted(range(n), key=lambda e: (freq[sm[e]], e))
+    target = sorted(N.zf)
+    perm = [-1] * n
+    used = [False] * n
+
+    def leaf_ok() -> bool:
+        mapped = []
+        for z, r in M.zf:
+            m = 0
+            for e in _members(z):
+                m |= 1 << perm[e]
+            mapped.append((m, r))
+        return sorted(mapped) == target
+
+    def bt(idx: int) -> bool:
+        if idx == n:
+            return leaf_ok()
+        e = order[idx]
+        for f in range(n):
+            if used[f] or sn[f] != sm[e]:
+                continue
+            ok = True
+            for prev in range(idx):
+                e2 = order[prev]
+                f2 = perm[e2]
+                a = pm[min(e, e2), max(e, e2)]
+                b = pn[min(f, f2), max(f, f2)]
+                if a != b:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            perm[e] = f
+            used[f] = True
+            if bt(idx + 1):
+                return True
+            perm[e] = -1
+            used[f] = False
+        return False
+
+    if bt(0):
+        return tuple(perm)
+    return None
 
 
 # ---------------------------------------------------------------------------

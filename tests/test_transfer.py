@@ -19,6 +19,7 @@ from freecone import (
     VariantKind,
     catenary_data,
     catenary_of_cone,
+    certify_pair,
     free_m_cone,
     g_invariant,
     src_data,
@@ -204,3 +205,17 @@ def test_src_from_g_rejects_inconsistent_counts():
     bad = type(g)(g.n, g.k, broken)
     with pytest.raises(InconsistentSystem):
         src_from_g(bad)
+
+
+# ---------------------------------------------------------------------------
+# pair certification
+
+
+def test_certify_pair_on_the_cones_of_the_example_pair():
+    # the 1-cones of the example pair are again a pair: 13 elements each,
+    # equal G and catenary data, and their own 1-cones separate
+    Q1, Q2 = (free_m_cone(M, 1) for M in example_pair())
+    assert Q1.n == Q2.n == 13
+    report = certify_pair(Q1, Q2, 1)
+    assert report.oracle_ok is True
+    assert [leg["passed"] for leg in report.legs] == [True, True, True, True]
