@@ -207,9 +207,6 @@ def cmd_higgs(args) -> int:
     return 0
 
 
-_VARIANTS = ["full", "tipless", "baseless", "tipless-baseless"]
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, invalid input; argparse's own 2 is the code
     this command uses for unequal objects and failed legs."""
@@ -225,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact matroid computations around the free multiple cone.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    variants = [k.value for k in VariantKind]
 
     p = sub.add_parser("validate", help="check the lattice axioms")
     p.add_argument("file")
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone", help="build a free multiple cone")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--variant", choices=_VARIANTS, default="full")
+    p.add_argument("--variant", choices=variants, default="full")
     p.add_argument("file")
     p.set_defaults(fn=cmd_cone)
 
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--what", required=True, choices=["catenary", "tutte"])
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--variant", choices=_VARIANTS, default="full")
+    p.add_argument("--variant", choices=variants, default="full")
     p.add_argument("file")
     p.set_defaults(fn=cmd_transfer)
 
@@ -259,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruct",
         help="recover the source matroid from a cone configuration",
     )
-    p.add_argument("--variant", choices=_VARIANTS, default="full")
+    p.add_argument("--variant", choices=variants, default="full")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("file")
     p.set_defaults(fn=cmd_reconstruct)

@@ -38,7 +38,7 @@ the search that decides configuration equality (zlattice._canonical).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._bits import as_mask, bit_members
 from .errors import AxiomViolation, GroundSetTooLarge, NotABasisSystem, ValidationError
@@ -78,7 +78,7 @@ class Matroid:
     family; display names are presentation only.
     """
 
-    __slots__ = ("n", "names", "zf", "_full", "_zneg", "_covers", "_flats")
+    __slots__ = ("n", "names", "zf", "_full", "_zneg")
 
     def __init__(self, n: int, zf: Sequence[tuple[int, int]], names=None):
         self.n = n
@@ -95,8 +95,6 @@ class Matroid:
         self.names = names
         self._full = (1 << n) - 1
         self._zneg = tuple((self._full & ~z, r) for z, r in self.zf)
-        self._covers: dict[int, tuple[int, ...]] = {}
-        self._flats: Optional[list[list[int]]] = None
 
     # -- basic views -------------------------------------------------------
 
@@ -179,9 +177,6 @@ class Matroid:
         written being the component: O(t) mask operations per flat for t
         cyclic flats, whatever its number of covers.
         """
-        hit = self._covers.get(f)
-        if hit is not None:
-            return hit
         rem = self._full & ~f
         best = self.n + 1
         by_low: dict[int, int] = {}
@@ -200,14 +195,10 @@ class Matroid:
             g = by_low.get(b, b)
             covers.append(f | g)
             rem &= ~g
-        out = tuple(covers)
-        self._covers[f] = out
-        return out
+        return tuple(covers)
 
     def flats_by_rank(self) -> list[list[int]]:
         """All flats as masks, grouped by rank (index = rank)."""
-        if self._flats is not None:
-            return self._flats
         levels = [[self.closure_mask(0)]]
         while True:
             nxt = set()
@@ -216,7 +207,6 @@ class Matroid:
             if not nxt:
                 break
             levels.append(sorted(nxt))
-        self._flats = levels
         return levels
 
     # -- minors ----------------------------------------------------------------

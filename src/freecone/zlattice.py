@@ -75,11 +75,17 @@ def validate_axioms(family) -> ValidationReport:
     """Check whether (set, rank) pairs satisfy the cyclic-flat axioms.
 
     `family` is a dict {set-or-mask: rank} or an iterable of (set-or-mask,
-    rank) pairs.  (Z3) is checked on incomparable pairs only: for X ⊆ Y the
-    join is Y, the meet is X and the defect is 0, so it holds with equality.
+    rank) pairs.
 
-    Every order query reads the up-sets and down-sets of `_order_masks`, so
-    the check takes O(t^2) operations on t-bit masks for t members.
+    After `_order_masks`, one walk over the pairs i < j in (size, mask)
+    order checks every axiom on pairs.  A comparable pair X ⊆ Y is checked
+    for (Z2) only: its join is Y, its meet is X and the defect is 0, so (Z0)
+    holds and (Z3) holds with equality.  An incomparable pair has its join
+    and meet found once, for (Z0) and then for (Z3).  A (Z0) failure
+    returns at once; the first (Z2) and the first (Z3) failure are kept and
+    returned after (Z1), so reports stay axiom-major.  Each order query is
+    one AND and one comparison, so the check takes O(t^2) operations on
+    t-bit masks for t members.
     """
     if isinstance(family, dict):
         items = family.items()
@@ -102,69 +108,58 @@ def validate_axioms(family) -> ValidationReport:
         return ValidationReport(False, "Z0", (), "the family is empty, so it is not a lattice")
     up, down = _order_masks(ms)
 
-    # Z0: pairwise joins and meets must exist inside the family.  The
-    # common upper bounds of i and j are c = up[i] & up[j]; their first
-    # member k has the least (size, mask), and the join exists iff every
-    # bound contains it, that is up[k] == c.  Meets mirror this on down-sets
-    # with the last member.
+    # x = ms[i] and y = ms[j] for i < j, so only x ⊆ y can make them
+    # comparable.  For an incomparable pair the common upper bounds are
+    # c = up[i] & up[j]; their first member ji has the least (size, mask),
+    # and the join exists iff every bound contains it, that is up[ji] == c.
+    # Meets mirror this on down-sets with the last member.
+    rk = [ranks[m] for m in ms]
+    z2 = z3 = None
     for i in range(t):
-        ui, di = up[i], down[i]
-        for j in range(i + 1, t):
-            c = ui & up[j]
-            if not c or up[(c & -c).bit_length() - 1] != c:
+        x, ui, di, rx = ms[i], up[i], down[i], rk[i]
+        for y, uj, dj, ry in zip(ms[i + 1:], up[i + 1:], down[i + 1:], rk[i + 1:]):
+            if y & x == x:
+                # Z2: strict rank increase, strictly slower than cardinality
+                if z2 is None:
+                    dr, dc = ry - rx, (y & ~x).bit_count()
+                    if not 0 < dr < dc:
+                        z2 = ValidationReport(
+                            False, "Z2", _witness(x, y),
+                            f"r({_fmt(y)}) - r({_fmt(x)}) = {dr} "
+                            f"not strictly between 0 and {dc}",
+                        )
+                continue
+            c = ui & uj
+            ji = (c & -c).bit_length() - 1
+            if not c or up[ji] != c:
                 return ValidationReport(
-                    False, "Z0", _witness(ms[i], ms[j]),
-                    f"{_fmt(ms[i])} and {_fmt(ms[j])} have no join in the family",
+                    False, "Z0", _witness(x, y),
+                    f"{_fmt(x)} and {_fmt(y)} have no join in the family",
                 )
-            c = di & down[j]
-            if not c or down[c.bit_length() - 1] != c:
+            c = di & dj
+            mi = c.bit_length() - 1
+            if not c or down[mi] != c:
                 return ValidationReport(
-                    False, "Z0", _witness(ms[i], ms[j]),
-                    f"{_fmt(ms[i])} and {_fmt(ms[j])} have no meet in the family",
+                    False, "Z0", _witness(x, y),
+                    f"{_fmt(x)} and {_fmt(y)} have no meet in the family",
                 )
+            if z3 is None:
+                # Z3: submodularity with the meet-defect term
+                lhs = rk[ji] + rk[mi] + (x & y & ~ms[mi]).bit_count()
+                if lhs > rx + ry:
+                    z3 = ValidationReport(
+                        False, "Z3", _witness(x, y),
+                        f"r(join) + r(meet) + defect = {lhs} exceeds "
+                        f"r(X) + r(Y) = {rx + ry} for X={_fmt(x)}, Y={_fmt(y)}",
+                    )
 
     # Z1: the least member has rank 0 (with Z0 it is the smallest mask)
-    bottom = ms[0]
-    if ranks[bottom] != 0:
+    if rk[0] != 0:
         return ValidationReport(
-            False, "Z1", _witness(bottom),
-            f"least member {_fmt(bottom)} has rank {ranks[bottom]}, expected 0",
+            False, "Z1", _witness(ms[0]),
+            f"least member {_fmt(ms[0])} has rank {rk[0]}, expected 0",
         )
-
-    # Z2: strict rank increase, strictly slower than cardinality
-    for i in range(t):
-        x = ms[i]
-        for j in bit_members(up[i] ^ 1 << i):
-            y = ms[j]
-            dr = ranks[y] - ranks[x]
-            dc = (y & ~x).bit_count()
-            if not 0 < dr < dc:
-                return ValidationReport(
-                    False, "Z2", _witness(x, y),
-                    f"r({_fmt(y)}) - r({_fmt(x)}) = {dr} not strictly between 0 and {dc}",
-                )
-
-    # Z3: submodularity with the meet-defect term, on incomparable pairs
-    for i in range(t):
-        x, ui, di = ms[i], up[i], down[i]
-        for j in range(i + 1, t):
-            if ui >> j & 1:
-                continue
-            y = ms[j]
-            c = ui & up[j]
-            jv = ms[(c & -c).bit_length() - 1]
-            mv = ms[(di & down[j]).bit_length() - 1]
-            defect = ((x & y) & ~mv).bit_count()
-            lhs = ranks[jv] + ranks[mv] + defect
-            rhs = ranks[x] + ranks[y]
-            if lhs > rhs:
-                return ValidationReport(
-                    False, "Z3", _witness(x, y),
-                    f"r(join) + r(meet) + defect = {lhs} exceeds r(X) + r(Y) = {rhs} "
-                    f"for X={_fmt(x)}, Y={_fmt(y)}",
-                )
-
-    return ValidationReport(True)
+    return z2 or z3 or ValidationReport(True)
 
 
 def _witness(*masks: int) -> tuple[frozenset[int], ...]:

@@ -711,17 +711,20 @@ def flags(M):
 
     X_0 is the rank-0 flat (the loops); each step moves to a cover, so
     enumeration is depth-first over the flat lattice with O(k) memory per
-    chain plus the cover cache.
+    chain plus a memo of the covers of each flat visited.
     """
     k = M.rank_int
     bottom = M.closure_mask(0)
     chain = [bottom]
+    covers: dict[int, tuple[int, ...]] = {}
 
     def rec(f: int, depth: int):
         if depth == k:
             yield tuple(chain)
             return
-        for g in M.covers_mask(f):
+        if f not in covers:
+            covers[f] = M.covers_mask(f)
+        for g in covers[f]:
             chain.append(g)
             yield from rec(g, depth + 1)
             chain.pop()

@@ -75,6 +75,29 @@ def test_incomparable_only_mode_agrees_with_full_mode():
         assert rep.ok and rep == oracles.validate_axioms(M.zf), name
 
 
+# Z3 fails first in pair order, at ({0,1}, {1,2}): join {0..4}, meet ∅ and a
+# defect of 1 give 5 > 2.  Z2 fails later, at ({0,1}, {0..4}), with 3 = 3.
+_Z3_BEFORE_Z2 = [(0, 0), (0b00011, 1), (0b00110, 1), (0b11111, 4)]
+
+
+@pytest.mark.parametrize(
+    "family, axiom, witness",
+    [
+        (_Z3_BEFORE_Z2, "Z2", (frozenset({0, 1}), frozenset(range(5)))),
+        ([(0, 1)] + _Z3_BEFORE_Z2[1:], "Z1", (frozenset(),)),
+        (
+            _Z3_BEFORE_Z2 + [(0b1111100000, 3)], "Z0",
+            (frozenset({0, 1}), frozenset(range(5, 10))),
+        ),
+    ],
+    ids=["Z2-over-earlier-Z3", "Z1-over-Z2-and-Z3", "Z0-after-Z2-and-Z3"],
+)
+def test_reports_are_axiom_major_not_pair_major(family, axiom, witness):
+    rep = validate_axioms(family)
+    assert not rep.ok and rep.axiom == axiom and rep.witness == witness
+    assert rep == oracles.validate_axioms(family, incomparable_only=False)
+
+
 def test_cyclic_flats_of_uniform():
     # proper uniform matroids have only the trivial cyclic flats
     u24 = uniform(2, 4)
