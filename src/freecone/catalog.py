@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .cone import free_m_cone
-from .core import Matroid, bit_members, from_cyclic_flats, matroid_from_rank_oracle
+from .core import Matroid, from_cyclic_flats
 from .invariants import g_invariant, src_data, tutte
 
 __all__ = [
@@ -60,40 +60,42 @@ def rank_two(class_sizes) -> Matroid:
 def points_and_lines(class_sizes, long_lines) -> Matroid:
     """A rank-3 multi-point geometry: parallel classes of the given sizes,
     with the listed class-index sets collinear (long lines must share at
-    most one class pairwise and must not contain every class)."""
+    most one class pairwise and must not contain every class).
+
+    The cyclic flats, by rank: the empty set; each class of two or more
+    points; each rank-2 flat (a long line, or two classes on no common
+    line) unless it is two classes, one a single point; and E, unless a
+    single point lies off a rank-2 flat holding every other class.  In
+    both exceptions that point is a coloop.
+    """
     sizes = list(class_sizes)
     t = len(sizes)
     lines = [frozenset(l) for l in long_lines]
     if t < 3:
         raise ValueError("rank 3 needs at least three classes")
+    if any(s < 1 for s in sizes):
+        raise ValueError("class sizes must be positive")
     for l in lines:
         if not (3 <= len(l) < t) or not l <= set(range(t)):
             raise ValueError(f"bad line {sorted(l)}")
     for a, b in itertools.combinations(lines, 2):
         if len(a & b) > 1:
             raise ValueError("long lines may share at most one class")
-    n = sum(sizes)
-    marks = []
-    acc = 0
+    masks, n = [], 0
     for s in sizes:
-        acc += s
-        marks.append(acc)
-
-    def cls(e: int) -> int:
-        for i, hi in enumerate(marks):
-            if e < hi:
-                return i
-        raise AssertionError
-
-    def rank_fn(x: int) -> int:
-        touched = frozenset(cls(e) for e in bit_members(x))
-        if len(touched) <= 1:
-            return len(touched)
-        if len(touched) == 2 or any(touched <= l for l in lines):
-            return 2
-        return 3
-
-    return matroid_from_rank_oracle(n, rank_fn)
+        masks.append(((1 << s) - 1) << n)
+        n += s
+    rank2 = lines + [
+        frozenset(p) for p in itertools.combinations(range(t), 2)
+        if not any(l.issuperset(p) for l in lines)
+    ]
+    entries = [(0, 0)] + [(c, 1) for c, s in zip(masks, sizes) if s >= 2]
+    for f in rank2:
+        if len(f) > 2 or min(sizes[i] for i in f) >= 2:
+            entries.append((sum(masks[i] for i in f), 2))
+    if all(sizes[i] > 1 or frozenset(range(t)) - {i} not in rank2 for i in range(t)):
+        entries.append(((1 << n) - 1, 3))
+    return from_cyclic_flats(entries, n)
 
 
 def example_pair() -> tuple[Matroid, Matroid]:
@@ -153,18 +155,8 @@ def _partitions(total: int, parts: int, cap: int | None = None):
             yield (first,) + rest
 
 
-def search_separating_pair(class_counts=(3, 4, 5, 6)) -> tuple[Matroid, Matroid]:
-    """Exhaustively search rank-3 matroids on seven elements for a pair
-    satisfying verify_separating_claims, deterministically.
-
-    Candidates are parallel-class size partitions of 7 together with
-    families of long lines over the classes.  Seven singleton classes
-    (the simple case) cannot work and are excluded: for a simple rank-3
-    matroid the Tutte polynomial determines the multiset of line sizes,
-    which in turn determines the whole flag count per composition, so
-    equal Tutte polynomials would force equal G-invariants there.
-    """
-    found: list[Matroid] = []
+def _geometries(class_counts):
+    """(class sizes, long lines) of each candidate of search_separating_pair."""
     for t in class_counts:
         if not 3 <= t <= 6:
             raise ValueError("class counts must lie in 3..6")
@@ -185,15 +177,24 @@ def search_separating_pair(class_counts=(3, 4, 5, 6)) -> tuple[Matroid, Matroid]
 
         for sizes in _partitions(7, t):
             for fam in families(0, []):
-                try:
-                    M = points_and_lines(sizes, fam)
-                except ValueError:
-                    continue
-                found.append(M)
+                yield sizes, fam
+
+
+def search_separating_pair(class_counts=(3, 4, 5, 6)) -> tuple[Matroid, Matroid]:
+    """Exhaustively search rank-3 matroids on seven elements for a pair
+    satisfying verify_separating_claims, deterministically.
+
+    Candidates are parallel-class size partitions of 7 together with
+    families of long lines over the classes.  Seven singleton classes
+    (the simple case) cannot work and are excluded: for a simple rank-3
+    matroid the Tutte polynomial determines the multiset of line sizes,
+    which in turn determines the whole flag count per composition, so
+    equal Tutte polynomials would force equal G-invariants there.
+    """
     buckets: dict[tuple, list[Matroid]] = {}
-    for M in found:
-        key = tuple(sorted(tutte(M).coeffs.items()))
-        buckets.setdefault(key, []).append(M)
+    for sizes, fam in _geometries(class_counts):
+        M = points_and_lines(sizes, fam)
+        buckets.setdefault(tuple(sorted(tutte(M).coeffs.items())), []).append(M)
     for key in sorted(buckets, key=repr):
         group = buckets[key]
         for a, b in itertools.combinations(group, 2):

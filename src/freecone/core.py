@@ -72,17 +72,22 @@ def _compress_mask(mask: int, kept: Sequence[int]) -> int:
 class Matroid:
     """Immutable matroid given by cyclic flats with ranks.
 
-    Instances should be built through :func:`from_cyclic_flats`,
-    :func:`from_bases` or :func:`matroid_from_rank_oracle`, which validate
-    their input.  Equality compares ground-set size and the cyclic-flat
-    family; display names are presentation only.
+    Every instance is checked: the constructor raises AxiomViolation, with
+    the report of :func:`validate_axioms`, when the (mask, rank) pairs `zf`
+    are not the cyclic-flat family of a matroid.  Equality compares
+    ground-set size and the cyclic-flat family; display names are
+    presentation only.
     """
 
     __slots__ = ("n", "names", "zf", "_full", "_zneg")
 
-    def __init__(self, n: int, zf: Sequence[tuple[int, int]], names=None):
+    def __init__(self, n: int, zf: Iterable[tuple[int, int]], names=None):
+        zf = list(zf)
+        report = validate_axioms(zf)
+        if not report.ok:
+            raise AxiomViolation(report.axiom, report.witness, report.message)
         self.n = n
-        self.zf = tuple(sorted(zf, key=lambda zr: (zr[0].bit_count(), zr[0])))
+        self.zf = tuple(sorted(set(zf), key=lambda zr: (zr[0].bit_count(), zr[0])))
         if names is None:
             names = tuple(str(e) for e in range(n))
         else:
@@ -251,12 +256,13 @@ class Matroid:
 
 
 def from_cyclic_flats(sets_with_ranks, n: int, names=None) -> Matroid:
-    """Build a matroid from (set, rank) pairs, checking the lattice axioms.
+    """Build a matroid from (set, rank) pairs given as sets or masks.
 
     `sets_with_ranks` may be a dict {set-or-mask: rank} or an iterable of
-    (set-or-mask, rank) pairs.  Raises AxiomViolation when the family with
-    its ranks is not the cyclic-flat family of any matroid; a set listed
-    twice with two ranks violates Z0, and an exact repeat is one member.
+    (set-or-mask, rank) pairs.  The Matroid constructor raises
+    AxiomViolation when they are not the cyclic-flat family of any matroid;
+    a set listed twice with two ranks violates Z0, and an exact repeat is
+    one member.
     """
     if isinstance(sets_with_ranks, dict):
         items = sets_with_ranks.items()
@@ -270,10 +276,7 @@ def from_cyclic_flats(sets_with_ranks, n: int, names=None) -> Matroid:
         if not isinstance(r, int) or isinstance(r, bool) or r < 0:
             raise ValueError(f"rank of {s!r} must be a nonnegative integer, got {r!r}")
         entries.append((m, r))
-    report = validate_axioms(entries)
-    if not report.ok:
-        raise AxiomViolation(report.axiom, report.witness, report.message)
-    return Matroid(n, sorted(set(entries)), names=names)
+    return Matroid(n, entries, names=names)
 
 
 def matroid_from_rank_oracle(n: int, rank_fn: Callable[[int], int], names=None) -> Matroid:
@@ -418,12 +421,9 @@ def _incidence_canonical(M: Matroid) -> tuple[tuple, list[int]]:
     """`_canonical` of the element/cyclic-flat incidence poset of M: node
     e < n is element e, node n + i is the cyclic flat M.zf[i]."""
     n = M.n
-    zs = [z for z, _ in M.zf]
-    up_z, down_z = _order_masks(zs)
-    up = [1 << e for e in range(n)] + [row << n for row in up_z]
-    down = up[:n] + [z | row << n for z, row in zip(zs, down_z)]
-    for i, z in enumerate(zs):
-        for e in bit_members(z):
-            up[e] |= 1 << n + i
+    # element e as the set {e}, a flat as Z plus a bit no element has: then
+    # containment is the incidence order, and (size, mask) order keeps e at
+    # index e and M.zf[i] at n + i
+    up, down = _order_masks([1 << e for e in range(n)] + [z | 1 << n for z, _ in M.zf])
     labels = [(-1, -1)] * n + [(z.bit_count(), r) for z, r in M.zf]
     return _canonical(labels, up, down, _covers(up, down))

@@ -16,6 +16,10 @@ every refinement pass keys every node by its whole down-set and up-set.
 isomorphism_backtrack, the reference of is_isomorphic, tries element
 images one by one, pruned by incidence signatures, with no canonical form.
 
+points_and_lines_rank is the class-and-line rank function of
+catalog.points_and_lines: through matroid_from_rank_oracle it is the
+reference of that builder's closed-form cyclic flats.
+
 The Matroid surface that only the tests read (id_of, is_cyclic_mask,
 is_flat_mask, independent_mask, bases_masks, and fiber_mask of a cone)
 lives here as functions of the matroid, as does covers_by_closure, the flat walk that takes one
@@ -107,6 +111,24 @@ def sparse_paving(n, r, blocks, seed):
     assert len(chosen) == blocks
     full = (1 << n) - 1
     return from_cyclic_flats([(0, 0)] + [(b, r - 1) for b in chosen] + [(full, r)], n)
+
+
+def points_and_lines_rank(class_sizes, long_lines):
+    """The rank function of catalog.points_and_lines: a set touching one
+    class has rank 1, two classes or classes on one long line rank 2, and
+    anything else rank 3."""
+    owner = [i for i, s in enumerate(class_sizes) for _ in range(s)]
+    lines = [frozenset(l) for l in long_lines]
+
+    def rank(x: int) -> int:
+        touched = frozenset(owner[e] for e in range(len(owner)) if x >> e & 1)
+        if len(touched) <= 1:
+            return len(touched)
+        if len(touched) == 2 or any(touched <= l for l in lines):
+            return 2
+        return 3
+
+    return rank
 
 
 def covers_by_closure(M, f: int) -> tuple[int, ...]:

@@ -1,21 +1,26 @@
 """The bundled example matroids and the separating-pair search."""
 
+import random
+
 import pytest
 
 from freecone import (
     GInvariant,
+    GroundSetTooLarge,
     VariantKind,
     catenary_data,
     configuration,
     free_m_cone,
     g_invariant,
     is_isomorphic,
+    matroid_from_rank_oracle,
     src_data,
     tutte,
     validate_axioms,
     variant,
 )
 from freecone.catalog import (
+    _geometries,
     example_pair,
     fixture_matroids,
     points_and_lines,
@@ -25,6 +30,8 @@ from freecone.catalog import (
     uniform,
     verify_separating_claims,
 )
+
+from oracles import points_and_lines_rank
 
 
 def test_fixture_collection_shape():
@@ -57,6 +64,32 @@ def test_points_and_lines_places_long_lines():
     assert M.rank_mask(0b1011) == 3
     with pytest.raises(Exception):
         points_and_lines([1, 1, 1, 1], [(0, 1, 2), (0, 1, 3)])
+    with pytest.raises(ValueError):
+        points_and_lines([1, 1, 1, 0], [])
+
+
+def test_points_and_lines_equals_the_rank_oracle_build():
+    """The closed-form cyclic flats against extraction from the class and
+    line rank function, on every candidate of the separating-pair search."""
+    geometries = list(_geometries((3, 4, 5, 6)))
+    assert len(geometries) == 433
+    for sizes, lines in geometries:
+        built = matroid_from_rank_oracle(sum(sizes), points_and_lines_rank(sizes, lines))
+        assert points_and_lines(sizes, lines) == built, (sizes, lines)
+
+
+def test_points_and_lines_beyond_the_rank_oracle_bound():
+    sizes, lines = [4, 4, 4, 3, 3], [(0, 1, 2)]
+    n = sum(sizes)
+    rank = points_and_lines_rank(sizes, lines)
+    with pytest.raises(GroundSetTooLarge):
+        matroid_from_rank_oracle(n, rank)
+    M = points_and_lines(sizes, lines)
+    assert M.n == 18 and len(M.zf) == 1 + 5 + 8 + 1
+    rng = random.Random(18)
+    for _ in range(2000):
+        x = rng.getrandbits(n)
+        assert M.rank_mask(x) == rank(x), x
 
 
 def test_example_pair_claims():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from freecone import (
     AxiomViolation,
+    ConeMatroid,
     GroundSetTooLarge,
+    Matroid,
     NotABasisSystem,
     VariantKind,
     free_m_cone,
@@ -216,12 +218,34 @@ def test_rank_oracle_constructor_rejects_nonsense():
         matroid_from_rank_oracle(3, lambda x: bin(x).count("1") % 2)
 
 
+def test_every_matroid_is_checked_by_its_constructor():
+    family = [(0, 0), (0b11, 2)]  # r(E) - r(empty) = 2 = |E| breaks Z2
+    report = validate_axioms(family)
+    assert not report.ok and report.axiom == "Z2"
+    source = uniform(1, 1)
+    for build in (
+        lambda: Matroid(2, family),
+        lambda: ConeMatroid(2, family, ["a", "b"], 1, source),
+    ):
+        with pytest.raises(AxiomViolation) as exc:
+            build()
+        assert (exc.value.axiom, exc.value.witness, str(exc.value)) == (
+            report.axiom, report.witness, report.message,
+        )
+
+
 def test_relabel_moves_cyclic_flats():
     M = dict(FIXTURES)["disjoint-lines"]
     perm = [5, 4, 3, 2, 1, 0]
     R = M.relabel(perm)
     assert R.names == tuple(reversed(M.names))
     assert {z for z, _ in R.zf} == {z for z, _ in M.zf}  # symmetric under reversal
+    M = dict(FIXTURES)["open-book"]
+    perm = [3, 0, 4, 1, 2]
+    moved = [(sum(1 << perm[e] for e in range(M.n) if z >> e & 1), r) for z, r in M.zf]
+    R = M.relabel(perm)
+    assert R == from_cyclic_flats(moved, M.n)
+    assert [R.names[perm[e]] for e in range(M.n)] == list(M.names)
 
 
 def test_isomorphism_finds_maps_and_refuses_impostors():

@@ -129,3 +129,35 @@ def test_mask_methods_have_callers_in_the_package():
                 uncalled.append(f"{cls}.{item.name}")
     assert "covers_mask" in checked
     assert uncalled == []
+
+
+def _named_sites(node, scope=""):
+    """("call", function, name) for every call of a plain or dotted name and
+    ("raise", function, name) for every raise of a name, where function is
+    the qualified name of the innermost enclosing def or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _named_sites(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield "call", scope, func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+        elif isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield "raise", scope, getattr(exc, "id", None)
+        yield from _named_sites(child, scope)
+
+
+def test_one_gate_checks_the_axioms():
+    """Matroid.__init__ is the one place where a family is checked against
+    the lattice axioms: no builder calls validate_axioms or raises
+    AxiomViolation itself, so none can skip or duplicate the check."""
+    sites = [
+        (kind, f"{mod}:{func}")
+        for mod, tree in _trees().items()
+        for kind, func, name in _named_sites(tree)
+        if (kind, name) in {("call", "validate_axioms"), ("raise", "AxiomViolation")}
+    ]
+    assert sorted(sites) == [("call", "core.py:Matroid.__init__"),
+                             ("raise", "core.py:Matroid.__init__")]
