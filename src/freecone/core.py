@@ -72,9 +72,10 @@ def _compress_mask(mask: int, kept: Sequence[int]) -> int:
 class Matroid:
     """Immutable matroid given by cyclic flats with ranks.
 
-    Every instance is checked: the constructor raises AxiomViolation, with
-    the report of :func:`validate_axioms`, when the (mask, rank) pairs `zf`
-    are not the cyclic-flat family of a matroid.  Equality compares
+    Every instance is checked: the constructor raises ValueError when a
+    mask of `zf` is not a subset of {0, ..., n-1}, and AxiomViolation, with
+    the report of :func:`validate_axioms`, when the (mask, rank) pairs are
+    not the cyclic-flat family of a matroid.  Equality compares
     ground-set size and the cyclic-flat family; display names are
     presentation only.
     """
@@ -83,6 +84,9 @@ class Matroid:
 
     def __init__(self, n: int, zf: Iterable[tuple[int, int]], names=None):
         zf = list(zf)
+        for z, _ in zf:
+            if z < 0 or z >> n:
+                raise ValueError(f"set {z:#x} is not a subset of the {n}-element ground set")
         report = validate_axioms(zf)
         if not report.ok:
             raise AxiomViolation(report.axiom, report.witness, report.message)
@@ -259,10 +263,10 @@ def from_cyclic_flats(sets_with_ranks, n: int, names=None) -> Matroid:
     """Build a matroid from (set, rank) pairs given as sets or masks.
 
     `sets_with_ranks` may be a dict {set-or-mask: rank} or an iterable of
-    (set-or-mask, rank) pairs.  The Matroid constructor raises
-    AxiomViolation when they are not the cyclic-flat family of any matroid;
-    a set listed twice with two ranks violates Z0, and an exact repeat is
-    one member.
+    (set-or-mask, rank) pairs.  The Matroid constructor raises ValueError
+    for a set outside the ground set and AxiomViolation when they are not
+    the cyclic-flat family of any matroid; a set listed twice with two
+    ranks violates Z0, and an exact repeat is one member.
     """
     if isinstance(sets_with_ranks, dict):
         items = sets_with_ranks.items()
@@ -270,12 +274,9 @@ def from_cyclic_flats(sets_with_ranks, n: int, names=None) -> Matroid:
         items = list(sets_with_ranks)
     entries = []
     for s, r in items:
-        m = as_mask(s)
-        if m < 0 or m >= (1 << n):
-            raise ValueError(f"set {s!r} is not a subset of the {n}-element ground set")
         if not isinstance(r, int) or isinstance(r, bool) or r < 0:
             raise ValueError(f"rank of {s!r} must be a nonnegative integer, got {r!r}")
-        entries.append((m, r))
+        entries.append((as_mask(s), r))
     return Matroid(n, entries, names=names)
 
 

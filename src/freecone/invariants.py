@@ -1,22 +1,25 @@
 """Invariant computations: G-invariant, catenary data, Tutte polynomial,
 characteristic polynomial, and size-rank-coloop data.
 
-Each invariant is derived from data known to determine it: catenary data
-counts chains of flats; the G-invariant is derived from those flag counts
-(Bonin and Kung 2018) with no permutation enumerated; the size-rank-coloop
-data is counted over the intervals of the lattice of cyclic flats, which
-determine the matroid (Bonin and de Mier 2008), with no flat walked; and
-the Tutte and characteristic polynomials come from its (size, rank)
-marginal.  No subset of the ground set is scanned.  The flag DP stops two
-levels below the top and folds the hyperplanes and E into one step over
-the covers of the flats there, so it takes the covers of no hyperplane,
-usually the largest level of the lattice.  `src_from_g` inverts the
-permutation counts of G into size-rank-coloop data; the test suite and
-`certify_pair` hold it equal to `src_data`, two routes with no shared
-code.  The transfer module reproduces several of these from source data
-alone, and the test suite holds them equal to the direct computations and
-to brute-force oracles; the flag stream that catenary data tallies is the
-oracle `tests/oracles.py::flags`.  Counts are exact ints.
+Each invariant is derived from data known to determine it, the lattice of
+cyclic flats with its ranks (Bonin and de Mier 2008), and no flat or
+subset of the ground set is walked.  One recursion over the intervals of
+that lattice (`_interval_tables`) counts, for every pair U <= W of cyclic
+flats, the independent sets of M|W/U and the cyclic spanning sets by
+size.  The size-rank-coloop data is summed from those tables, and the
+Tutte and characteristic polynomials come from its (size, rank)
+marginal.  Catenary data counts the flags of flats: a flat is its cyclic
+core plus free elements, so the flags follow from the hyperplanes of each
+M|W counted by core, which the same tables give.  The G-invariant is
+derived from those flag counts (Bonin and Kung 2018) with no permutation
+enumerated.  `src_from_g` inverts the permutation counts of G into
+size-rank-coloop data; the test suite and `certify_pair` hold it equal to
+`src_data`, which reads the same tables.  The check with no code shared is
+the transfer module's: the cones' catenary data against the transfer
+formula on the source's.  The test suite also holds every invariant to
+brute-force oracles; the flat-walk DP that this recursion replaced is the
+oracle `tests/oracles.py::walk_flag_counts`, and the flag stream that
+catenary data tallies is `tests/oracles.py::flags`.  Counts are exact ints.
 """
 
 from __future__ import annotations
@@ -189,53 +192,94 @@ def _nonzero(d: dict) -> dict:
 # catenary data
 
 
-def _flag_counts(M: Matroid) -> dict:
-    """{composition (a_0, ..., a_k): number of flags}, by dynamic programming
-    over the flat lattice.
+def _shuffled(counts: dict, c: int) -> dict:
+    """The compositions of `counts` with c parts 1 inserted after the first
+    part in every way, each interleaving counted once.
 
-    Up to the flats of rank k - 2 the DP goes level by level, carrying the
-    composition prefixes of the chains that reach each flat.  The last two
-    levels are folded into one step: a flat L of rank k - 2 is covered only
-    by hyperplanes H, and each H only by E, so every prefix of L ends with
-    the tail (|H - L|, |E - H|), counted once per cover H that adds that
-    many elements.  One histogram over the covers of L gives those
-    multiplicities, so no hyperplane is walked: `covers_mask` runs once per
-    flat of rank at most k - 2, not once per flat.
-
-    Agrees with tallying every flag of M one by one; the DP form just
-    avoids materializing every chain, which matters for cones.
+    A DP over positions: a state is the composition built so far, the
+    parts of the source still to place and the ones still to insert, so
+    interleavings that meet again are merged.
     """
-    k = M.rank_int
-    bottom = M.closure_mask(0)
-    profiles: dict[int, dict[tuple, int]] = {bottom: {(bottom.bit_count(),): 1}}
-    if k == 0:
-        return profiles[bottom]
-    if k == 1:
-        return {(bottom.bit_count(), (M.full_mask & ~bottom).bit_count()): 1}
-    for _ in range(k - 2):
-        nxt: dict[int, dict[tuple, int]] = {}
-        for f in sorted(profiles):
-            prof = profiles[f]
-            for g in M.covers_mask(f):
-                delta = (g & ~f).bit_count()
-                tgt = nxt.setdefault(g, {})
-                for pref, c in prof.items():
-                    key = pref + (delta,)
-                    tgt[key] = tgt.get(key, 0) + c
-        profiles = nxt
-    counts: dict[tuple, int] = {}
-    for f, prof in profiles.items():
-        rest = (M.full_mask & ~f).bit_count()
-        hist: dict[int, int] = {}
-        for g in M.covers_mask(f):
-            delta = (g & ~f).bit_count()
-            hist[delta] = hist.get(delta, 0) + 1
-        for delta, mult in hist.items():
-            tail = (delta, rest - delta)
-            for pref, c in prof.items():
-                key = pref + tail
-                counts[key] = counts.get(key, 0) + c * mult
-    return counts
+    if not c:
+        return counts
+    states: dict = {(key[:1], key[1:], c): x for key, x in counts.items()}
+    for _ in range(len(next(iter(counts))) - 1 + c):
+        nxt: dict = {}
+        for (head, tail, j), x in states.items():
+            if tail:
+                s = (head + tail[:1], tail[1:], j)
+                nxt[s] = nxt.get(s, 0) + x
+            if j:
+                s = (head + (1,), tail, j - 1)
+                nxt[s] = nxt.get(s, 0) + x
+        states = nxt
+    return {head: x for (head, _, _), x in states.items()}
+
+
+def _flag_counts(M: Matroid) -> dict:
+    """{composition (a_0, ..., a_k): number of flags}, by a recursion over
+    the lattice of cyclic flats, with E as its top; no flat is walked.
+
+    A flat with cyclic core U and c free elements is U + C, and
+    M|(U + C) = M|U ⊕ free(C).  So a flag of M|W, for W a cyclic flat or
+    E, ends in a hyperplane H = U + C of M|W with r(U) + c = r(W) - 1, and
+    its flags below H are the shuffles of the flags of M|U with c
+    one-element steps, each counted c! times; the last step adds
+    |W| - |U| - c elements.
+
+    The number h_W(U) of such hyperplanes comes from the interval tables
+    of src_data.  An independent set of M|W/U with c elements is one
+    triple: a cyclic flat V in [U, W], a basis of M|V/U, and a flat of
+    M|W with core V and c - (r(V) - r(U)) free elements (the flat is the
+    closure of U and the set, and the coloops of its restriction are the
+    free part).  Taking the coefficient of x^(r(W) - 1 - r(U)) of g(U,W),
+
+        h_W(U) = [x^(r(W) - 1 - r(U))] g(U,W) - sum over U < V < W of
+                 beta(U,V) h_W(V),
+
+    where beta(U,V), the number of bases of M|V/U, is the top coefficient
+    of g(U,V).  One product per chain U < V < W, over the W whose flags
+    are needed: E, and the cores of the hyperplanes of each one needed.
+    """
+    zf, _, g = _interval_tables(M)
+    width = M.n + 1
+    slot = (1 << width) - 1
+    ranks = [r for _, r in zf]
+    sizes = [z.bit_count() for z, _ in zf]
+    beta = [  # beta[v][u] = beta(U,V), for U <= V
+        {u: p >> width * (ranks[v] - ranks[u]) for u, p in gv.items()} for v, gv in enumerate(g)
+    ]
+    top = len(zf) - 1
+    cores: dict[int, dict[int, int]] = {}  # cores[w][u] = h_W(U), nonzero only
+    needed = {top}
+    for w in range(top, 0, -1):
+        if w not in needed:
+            continue
+        h: dict[int, int] = {}
+        for u in sorted(g[w], reverse=True)[1:]:
+            x = g[w][u] >> width * (ranks[w] - 1 - ranks[u]) & slot
+            for v, hv in h.items():
+                if u in beta[v]:
+                    x -= beta[v][u] * hv
+            if x:
+                h[u] = x
+        cores[w] = h
+        needed.update(h)
+    flags: dict[int, dict] = {0: {(sizes[0],): 1}}
+    shuffles: dict[tuple[int, int], dict] = {}
+    for w in sorted(cores):
+        out: dict = {}
+        for u, hu in cores[w].items():
+            c = ranks[w] - 1 - ranks[u]
+            if (u, c) not in shuffles:
+                shuffles[u, c] = _shuffled(flags[u], c)
+            last = (sizes[w] - sizes[u] - c,)
+            weight = hu * math.factorial(c)
+            for key, x in shuffles[u, c].items():
+                key += last
+                out[key] = out.get(key, 0) + weight * x
+        flags[w] = out
+    return flags[top]
 
 
 def catenary_data(M: Matroid) -> CatenaryData:
@@ -365,6 +409,50 @@ def _unpack(x: int, width: int) -> list[int]:
     return out
 
 
+def _interval_tables(M: Matroid) -> tuple:
+    """(zf, f, g) for the lattice of cyclic flats of M with E as its top:
+    zf is M.zf, with (E, r(M)) appended when E is not cyclic, and
+    f[v][u] = f(V,U) counts the cyclic spanning sets of M|U/V and
+    g[w][u] = g(U,W) the independent sets of M|W/U, by size, for every
+    pair V <= U and U <= W; the keys of g[w] are the cyclic flats in W.
+
+    Polynomials are packed n + 1 bits per coefficient into one int, so a
+    convolution is one multiplication: every coefficient formed counts
+    subsets of at most n elements and stays below 2^n, so no slot carries
+    into the next.  The recursion is the one derived in src_data: for
+    V < W, (1 + x)^|W - V| is the sum over U in [V, W] of f(V,U) g(U,W),
+    split at r(W) - r(V) into g(V,W) below and f(V,W) above.  The W are
+    taken in (size, mask) order and, for each, the lower ends V from the
+    top down, so every f(V,U) and g(U,W) the sum needs is known.  When M
+    has coloops, E joins as an artificial top: no cyclic flat equals it,
+    so the sum for W = E has no U = E term and leaves f(V,E) = 0.  The
+    cost is one product per chain V < U < W of cyclic flats, whatever n
+    is.
+    """
+    zf = list(M.zf)
+    if zf[-1][0] != M.full_mask:
+        zf.append((M.full_mask, M.rank_int))
+    ms = [z for z, _ in zf]
+    up, down = _order_masks(ms)
+    width = M.n + 1
+    binom = [1]  # binom[d] = (1 + x)^d
+    for _ in range(M.n):
+        binom.append(binom[-1] + (binom[-1] << width))
+    f: list[dict[int, int]] = [{v: 1} for v in range(len(ms))]
+    g: list[dict[int, int]] = []
+    for w, (wmask, rw) in enumerate(zf):
+        gw = {w: 1}
+        for v in reversed(bit_members(down[w] & ~(1 << w))):
+            fv = f[v]
+            rest = binom[(wmask & ~ms[v]).bit_count()]
+            for u in bit_members(up[v] & down[w] & ~(1 << v | 1 << w)):
+                rest -= fv[u] * gw[u]
+            gw[v] = rest & ((1 << width * (rw - zf[v][1] + 1)) - 1)
+            fv[w] = rest - gw[v]
+        g.append(gw)
+    return zf, f, g
+
+
 def src_data(M: Matroid) -> SrcData:
     """Counts of (|S|, r(S), #coloops of M|S) over all 2^n subsets, by a
     recursion over the intervals of the lattice of cyclic flats: the subset
@@ -390,48 +478,20 @@ def src_data(M: Matroid) -> SrcData:
     independent sets of M|W/U by size, and f(V,V) = g(V,V) = [1].  The
     U = V term is g(V,W), which vanishes above rho = r(W) - r(V); the U = W
     term is f(V,W), which vanishes up to rho, since a nonempty cyclic set
-    of rank rho has more than rho elements.  One subtraction per interval
-    therefore gives both, split at rho.  The W are taken in (size, mask)
-    order and, for each, the lower ends V from the top down, so every
-    f(V,U) and g(U,W) the sum needs is known.  When M has coloops, E joins
-    as an artificial top: no cyclic flat equals it, so the sum for W = E
-    has no U = E term and leaves f(V,E) = 0.  Then, with L the bottom
-    cyclic flat (the loops), each loop free to join A,
+    of rank rho has more than rho elements, so `_interval_tables` gets
+    both with one subtraction per interval.  Then, with E as the top and L
+    the bottom cyclic flat (the loops), each loop free to join A,
 
         src(a + l + c, r(U) + c, c) += f(L,U)(a) C(|L|, l) g(U,E)(c).
-
-    Polynomials are packed n + 1 bits per coefficient into one int, so a
-    convolution is one multiplication: every coefficient formed counts
-    subsets of at most n elements and stays below 2^n, so no slot carries
-    into the next.  The cost is one product per chain V < U < W of cyclic
-    flats, whatever n is.
     """
+    zf, f, g = _interval_tables(M)
     n = M.n
-    zf = list(M.zf)
-    if zf[-1][0] != M.full_mask:
-        zf.append((M.full_mask, M.rank_int))
-    ms = [z for z, _ in zf]
-    up, down = _order_masks(ms)
     width = n + 1
-    binom = [
-        sum(math.comb(d, s) << width * s for s in range(d + 1)) for d in range(n + 1)
-    ]
-    f: list[dict[int, int]] = [{v: 1} for v in range(len(ms))]  # f[v][u] = f(V,U)
-    for w, (wmask, rw) in enumerate(zf):
-        g = {w: 1}  # g[u] = g(U,W)
-        for v in reversed(bit_members(down[w] & ~(1 << w))):
-            fv = f[v]
-            rest = binom[(wmask & ~ms[v]).bit_count()]
-            for u in bit_members(up[v] & down[w] & ~(1 << v | 1 << w)):
-                rest -= fv[u] * g[u]
-            g[v] = rest & ((1 << width * (rw - zf[v][1] + 1)) - 1)
-            fv[w] = rest - g[v]
-    # the top is the last W, so g now holds g(U,E)
-    loops = binom[ms[0].bit_count()]
+    loops = (1 + (1 << width)) ** zf[0][0].bit_count()
     counts: dict = {}
     for u, (_, ru) in enumerate(zf):
         spanning = _unpack(f[0][u] * loops, width)
-        independent = _unpack(g[u], width)
+        independent = _unpack(g[-1][u], width)
         for a, x in enumerate(spanning):
             if not x:
                 continue

@@ -15,9 +15,10 @@ bijection between decorated flags of M and flags of the cone, from which
 the catenary formulas are derived, is the test oracle
 `tests/oracles.py::flag_bijection`.  Recovery of size-rank-coloop data
 from the G-invariant (src_from_g) lives in the invariants module and is
-exported here too; `certify_pair` holds it equal to `src_data`, which
-counts over the intervals of the cyclic-flat lattice and shares no code
-with the flag counts that G comes from.
+exported here too.  `certify_pair` holds it equal to `src_data`; both
+sides read the same cyclic-flat interval tables, which the flag counts
+that G comes from are computed over too.  The check with no code shared
+is leg 3: the cones' catenary data against the transfer formula.
 """
 
 from __future__ import annotations
@@ -425,9 +426,10 @@ def certify_pair(M: Matroid, N: Matroid, m: int) -> CertificateReport:
 
     gm, gn = g_invariant(M), g_invariant(N)
     cm, cn = catenary_data(M), catenary_data(N)
-    # G is derived from the flag counts; the independent check holds the src
-    # data that G determines equal to the src data counted over the
-    # intervals of the source's cyclic-flat lattice, which shares no code
+    # G is derived from the flag counts; the src data that G determines is
+    # held equal to the src data counted over the same interval tables, so
+    # this checks the flag recursion, the G walk and the inversion, not the
+    # tables themselves: the independent check is leg 3's transfer formula
     if not all(_g_agrees_with_intervals(g, S) for g, S in ((gm, M), (gn, N))):
         report.oracle_ok = False
     gdiff = None if gm == gn else _first_difference(gm.counts, gn.counts)
@@ -435,9 +437,9 @@ def certify_pair(M: Matroid, N: Matroid, m: int) -> CertificateReport:
     report.legs.append(
         {
             "claim": "equal G-invariants and equal catenary data",
-            "method": "flag counting; G derived from the flag counts "
-            "(Bonin-Kung), not enumerated, cross-checked against the src data "
-            "counted over the cyclic-flat intervals",
+            "method": "flags counted over the cyclic-flat intervals; G derived "
+            "from the flag counts (Bonin-Kung), not enumerated, cross-checked "
+            "against the src data counted from the same interval tables",
             "passed": gdiff is None and cdiff is None,
             "witness": None
             if gdiff is None and cdiff is None
@@ -459,8 +461,9 @@ def certify_pair(M: Matroid, N: Matroid, m: int) -> CertificateReport:
     report.legs.append(
         {
             "claim": f"equal catenary data of the {m}-cones",
-            "method": "direct flag counting on both cones, cross-checked "
-            "against the transfer formula",
+            "method": "flags of both cones counted over their cyclic-flat "
+            "intervals, cross-checked against the transfer formula: separate "
+            "code that maps the sources' catenary data onto the cones",
             "passed": direct_eq and trans_eq,
             "witness": None
             if direct_eq

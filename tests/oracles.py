@@ -24,6 +24,8 @@ The Matroid surface that only the tests read (id_of, is_cyclic_mask,
 is_flat_mask, independent_mask, bases_masks, and fiber_mask of a cone)
 lives here as functions of the matroid, as does covers_by_closure, the flat walk that takes one
 closure per cover: the reference of the one-pass Matroid.covers_mask.
+walk_flag_counts, the DP over the covers of every flat below the colines,
+is the reference of the package's flag counts over the cyclic flats.
 
 The last section is the paper's explicit bijection from the decorated
 flags of a loopless M to the flags of its cone Q_m(M), the oracle of the
@@ -752,6 +754,56 @@ def flags(M):
             chain.pop()
 
     yield from rec(bottom, 0)
+
+
+def walk_flag_counts(M) -> dict:
+    """{composition (a_0, ..., a_k): number of flags}, by dynamic programming
+    over the flat lattice: the reference of invariants._flag_counts, which
+    counts them over the cyclic flats.
+
+    Up to the flats of rank k - 2 the DP goes level by level, carrying the
+    composition prefixes of the chains that reach each flat.  The last two
+    levels are folded into one step: a flat L of rank k - 2 is covered only
+    by hyperplanes H, and each H only by E, so every prefix of L ends with
+    the tail (|H - L|, |E - H|), counted once per cover H that adds that
+    many elements.  One histogram over the covers of L gives those
+    multiplicities, so no hyperplane is walked: `covers_mask` runs once per
+    flat of rank at most k - 2, not once per flat.
+
+    Agrees with tallying every flag of M one by one; the DP form just
+    avoids materializing every chain, which matters for cones.
+    """
+    k = M.rank_int
+    bottom = M.closure_mask(0)
+    profiles: dict[int, dict[tuple, int]] = {bottom: {(bottom.bit_count(),): 1}}
+    if k == 0:
+        return profiles[bottom]
+    if k == 1:
+        return {(bottom.bit_count(), (M.full_mask & ~bottom).bit_count()): 1}
+    for _ in range(k - 2):
+        nxt: dict[int, dict[tuple, int]] = {}
+        for f in sorted(profiles):
+            prof = profiles[f]
+            for g in M.covers_mask(f):
+                delta = (g & ~f).bit_count()
+                tgt = nxt.setdefault(g, {})
+                for pref, c in prof.items():
+                    key = pref + (delta,)
+                    tgt[key] = tgt.get(key, 0) + c
+        profiles = nxt
+    counts: dict[tuple, int] = {}
+    for f, prof in profiles.items():
+        rest = (M.full_mask & ~f).bit_count()
+        hist: dict[int, int] = {}
+        for g in M.covers_mask(f):
+            delta = (g & ~f).bit_count()
+            hist[delta] = hist.get(delta, 0) + 1
+        for delta, mult in hist.items():
+            tail = (delta, rest - delta)
+            for pref, c in prof.items():
+                key = pref + tail
+                counts[key] = counts.get(key, 0) + c * mult
+    return counts
 
 
 def fiber_ids(Q, e: int) -> list[int]:

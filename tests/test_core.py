@@ -234,6 +234,20 @@ def test_every_matroid_is_checked_by_its_constructor():
         )
 
 
+def test_constructor_rejects_a_member_outside_the_ground_set():
+    # {0, 1, 2} at rank 2 passes the lattice axioms, but element 2 is not
+    # among the two elements of the ground set
+    family = [(0, 0), (0b111, 2)]
+    assert validate_axioms(family).ok
+    for build in (
+        lambda: Matroid(2, family),
+        lambda: Matroid(2, [(-1, 0)]),
+        lambda: from_cyclic_flats({frozenset({0, 1, 2}): 2, frozenset(): 0}, 2),
+    ):
+        with pytest.raises(ValueError, match="not a subset of the 2-element ground set"):
+            build()
+
+
 def test_relabel_moves_cyclic_flats():
     M = dict(FIXTURES)["disjoint-lines"]
     perm = [5, 4, 3, 2, 1, 0]

@@ -46,6 +46,7 @@ from oracles import (
     sparse_paving,
     src_scan,
     tutte_coeffs,
+    walk_flag_counts,
     with_loops_and_coloops,
 )
 from test_order_kernel import perturbed_families
@@ -163,9 +164,8 @@ def _fold_corpus():
 
 
 def test_catenary_matches_flag_tally_and_chain_oracle():
-    # the DP folds its last two levels into one step over the covers of
-    # each rank k - 2 flat: hold every composition, not only the total, to
-    # the flags streamed one by one, and to the closure of every subset
+    # hold every composition, not only the total, to the flags streamed one
+    # by one, and to the closure of every subset
     ranks = set()
     for name, M in _fold_corpus():
         counts = catenary_data(M).counts
@@ -176,23 +176,77 @@ def test_catenary_matches_flag_tally_and_chain_oracle():
     assert {0, 1, 2, 3, 4} <= ranks
 
 
-def test_catenary_data_walks_no_hyperplane(monkeypatch):
-    # covers are taken once per flat of rank at most r - 2; the hyperplanes'
-    # only cover, E, is never asked for
+def _walk_corpus():
+    """The fold corpus, loop and coloop extensions of its cones, and the
+    29-element 1-cone of a sparse paving matroid with 1,437 cyclic flats."""
+    for name, M in _fold_corpus():
+        yield name, M
+        if "cone" in name:
+            for a, b in ((1, 0), (0, 1), (2, 2)):
+                yield f"{name}+{a}L+{b}C", with_loops_and_coloops(M, a, b)
+    yield "sparse paving (14, 5, 12) 1-cone", free_m_cone(sparse_paving(14, 5, 12, seed=1), 1)
+
+
+def test_catenary_matches_the_flat_walk_oracle():
+    # the recursion over the cyclic flats against the DP over the covers of
+    # every flat below the colines
+    checked = 0
+    for name, M in _walk_corpus():
+        assert catenary_data(M).counts == walk_flag_counts(M), name
+        checked += 1
+    assert checked > 150, checked
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (3, 7), (8, 20), (10, 24)])
+def test_catenary_and_g_of_uniform_matroids_in_closed_form(k, n):
+    # every flat of rank below k is independent, so each flag adds one
+    # element at a time up to rank k - 1 and the rest at once: one
+    # composition, n! / (n - k + 1)! flags; every permutation rises k times
+    # first, so G is n! on one rank sequence
+    U = uniform(k, n)
+    start = time.perf_counter()
+    assert catenary_data(U).counts == {
+        (0,) + (1,) * (k - 1) + (n - k + 1,): math.factorial(n) // math.factorial(n - k + 1)
+    }
+    assert g_invariant(U).counts == {"1" * k + "0" * (n - k): math.factorial(n)}
+    assert time.perf_counter() - start < 1.0
+
+
+def _counting(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(Matroid, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Matroid, name, counted)
+    return calls
+
+
+def test_catenary_data_walks_no_flat(monkeypatch):
+    # the flags are counted over the cyclic flats: no closure is taken and
+    # no cover is asked for
     Q = free_m_cone(uniform(3, 11), 2)
-    real = Matroid.covers_mask
-    calls = 0
+    calls = _counting(monkeypatch, ("covers_mask", "closure_mask"))
+    cat = catenary_data(Q)
+    G = g_invariant(Q)
+    monkeypatch.undo()
+    assert calls == {"covers_mask": 0, "closure_mask": 0}
+    assert cat.counts == walk_flag_counts(Q)
+    assert sum(G.counts.values()) == math.factorial(Q.n)
 
-    def counted(self, f):
-        nonlocal calls
-        calls += 1
-        return real(self, f)
 
-    monkeypatch.setattr(Matroid, "covers_mask", counted)
-    catenary_data(Q)
+def test_catenary_data_walks_no_hyperplane(monkeypatch):
+    # the flat-walk oracle takes covers once per flat of rank at most r - 2;
+    # the hyperplanes' only cover, E, is never asked for
+    Q = free_m_cone(uniform(3, 11), 2)
+    calls = _counting(monkeypatch, ("covers_mask",))
+    walk_flag_counts(Q)
     monkeypatch.undo()
     levels = Q.flats_by_rank()
-    assert calls == sum(len(level) for level in levels[: Q.rank_int - 1]) == 541
+    assert calls["covers_mask"] == sum(len(level) for level in levels[: Q.rank_int - 1]) == 541
 
 
 def test_flags_are_strict_chains_of_flats():
@@ -312,8 +366,9 @@ def _interval_corpus():
 
 def test_src_from_cyclic_flat_intervals_matches_g_and_subset_oracles():
     # src_data recurses over the intervals of the cyclic-flat lattice; the
-    # G route (flag DP, G walk, inversion) shares no code with it, and the
-    # subset oracle closes every subset under the rank formula
+    # G route (flag counts, G walk, inversion) reads the same interval
+    # tables but inverts G with its own code, and the subset oracle closes
+    # every subset under the rank formula
     checked = scanned = 0
     for name, M in _interval_corpus():
         src = src_data(M)

@@ -161,3 +161,18 @@ def test_one_gate_checks_the_axioms():
     ]
     assert sorted(sites) == [("call", "core.py:Matroid.__init__"),
                              ("raise", "core.py:Matroid.__init__")]
+
+
+def test_only_the_cone_walks_the_flat_lattice():
+    """The flat walk serves one builder: the cyclic flats of Q_m(M) are
+    read off the flats of M.  covers_mask is called only by
+    Matroid.flats_by_rank and flats_by_rank only by cone.free_m_cone, so
+    no invariant walks the flats again."""
+    sites = sorted(
+        (name, f"{mod}:{func}")
+        for mod, tree in _trees().items()
+        for kind, func, name in _named_sites(tree)
+        if kind == "call" and name in {"covers_mask", "flats_by_rank"}
+    )
+    assert sites == [("covers_mask", "core.py:Matroid.flats_by_rank"),
+                     ("flats_by_rank", "cone.py:free_m_cone")]
