@@ -32,8 +32,9 @@ cover.
 
 The cyclic flats with ranks also determine the matroid up to relabelling,
 so isomorphism has no search of its own: is_isomorphic compares the
-canonical certificates of the element/cyclic-flat incidence posets, from
-the search that decides configuration equality (zlattice._canonical).
+element/cyclic-flat incidence posets with the reject and the canonical
+search that decide configuration equality (zlattice._refinement_separates
+and zlattice._Poset._canonical).
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from typing import Callable, Iterable, Sequence
 
 from ._bits import as_mask, bit_members
 from .errors import AxiomViolation, GroundSetTooLarge, NotABasisSystem, ValidationError
-from .zlattice import _canonical, _covers, _inverse_perm, _order_masks, validate_axioms
+from .zlattice import (
+    _covers,
+    _inverse_perm,
+    _order_masks,
+    _Poset,
+    _refinement_separates,
+    validate_axioms,
+)
 
 __all__ = [
     "Matroid",
@@ -387,11 +395,14 @@ def is_isomorphic(M: Matroid, N: Matroid):
     A matroid is determined by its cyclic flats with their ranks (Bonin and
     de Mier), so M and N are isomorphic exactly when their incidence posets
     are: the elements as minimal nodes with a label no flat has, the
-    cyclic flats labelled (size, rank), and e < Z when e is in Z.  Two
-    O(n·t) checks reject most pairs first: the multisets of flat labels,
-    and of per-element signatures (the sorted labels of the flats that
-    contain the element).  Otherwise the canonical certificates of the two
-    posets decide, and the canonical orders compose into the bijection,
+    cyclic flats labelled (size, rank), and e < Z when e is in Z.  Pairs
+    whose element counts or multisets of flat labels differ are rejected
+    before the posets are built.  Then `_refinement_separates`, the reject
+    that configuration equality uses, compares the quotients of the two
+    stable colorings; an element's color there already holds the labels
+    of the flats that contain it.  Only when that does not separate the
+    posets do their canonical certificates decide, from the same stable
+    colorings, and the canonical orders compose into the bijection,
     returned as a tuple (image of 0, image of 1, ...).
     """
     if M.n != N.n:
@@ -400,17 +411,11 @@ def is_isomorphic(M: Matroid, N: Matroid):
         (z.bit_count(), r) for z, r in N.zf
     ):
         return None
-
-    def elem_sigs(mat: Matroid):
-        return sorted(
-            tuple(sorted((z.bit_count(), r) for z, r in mat.zf if z >> e & 1))
-            for e in range(mat.n)
-        )
-
-    if elem_sigs(M) != elem_sigs(N):
+    pm, pn = _incidence_poset(M), _incidence_poset(N)
+    if _refinement_separates(pm, pn):
         return None
-    cert_m, colors_m = _incidence_canonical(M)
-    cert_n, colors_n = _incidence_canonical(N)
+    cert_m, colors_m = pm._canonical()
+    cert_n, colors_n = pn._canonical()
     if cert_m != cert_n:
         return None
     # elements carry the least label, so they fill positions 0..n-1
@@ -418,13 +423,13 @@ def is_isomorphic(M: Matroid, N: Matroid):
     return tuple(order_n[colors_m[e]] for e in range(M.n))
 
 
-def _incidence_canonical(M: Matroid) -> tuple[tuple, list[int]]:
-    """`_canonical` of the element/cyclic-flat incidence poset of M: node
-    e < n is element e, node n + i is the cyclic flat M.zf[i]."""
+def _incidence_poset(M: Matroid) -> _Poset:
+    """The element/cyclic-flat incidence poset of M: node e < n is
+    element e, node n + i is the cyclic flat M.zf[i]."""
     n = M.n
     # element e as the set {e}, a flat as Z plus a bit no element has: then
     # containment is the incidence order, and (size, mask) order keeps e at
     # index e and M.zf[i] at n + i
     up, down = _order_masks([1 << e for e in range(n)] + [z | 1 << n for z, _ in M.zf])
-    labels = [(-1, -1)] * n + [(z.bit_count(), r) for z, r in M.zf]
-    return _canonical(labels, up, down, _covers(up, down))
+    labels = ((-1, -1),) * n + tuple((z.bit_count(), r) for z, r in M.zf)
+    return _Poset(labels, tuple(_covers(up, down)), up, down)

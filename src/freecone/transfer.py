@@ -418,7 +418,9 @@ def certify_pair(M: Matroid, N: Matroid, m: int) -> CertificateReport:
     report.legs.append(
         {
             "claim": "the two matroids are not isomorphic",
-            "method": "canonical certificates of the element/cyclic-flat incidence posets",
+            "method": "stable refinement of the element/cyclic-flat incidence "
+            "posets; canonical certificates only when refinement does not "
+            "separate them",
             "passed": perm is None,
             "witness": None if perm is None else {"isomorphism": list(perm)},
         }
@@ -475,7 +477,8 @@ def certify_pair(M: Matroid, N: Matroid, m: int) -> CertificateReport:
     report.legs.append(
         {
             "claim": f"different configurations of the {m}-cones",
-            "method": "canonical certificates of the labeled lattices",
+            "method": "stable refinement of the labeled lattices; canonical "
+            "certificates only when refinement does not separate them",
             "passed": cfg_m != cfg_n,
             "witness": None,
         }

@@ -9,9 +9,13 @@ when it satisfies the axioms checked by :func:`validate_axioms`:
   Z2  0 < r(Y) - r(X) < |Y - X| for members X ⊊ Y;
   Z3  r(X∨Y) + r(X∧Y) + |(X∩Y) - (X∧Y)| ≤ r(X) + r(Y).
 
-The canonical form of a labelled poset, `_canonical`, decides both the
-equality of configurations and, on element/cyclic-flat incidence posets,
-the isomorphism of matroids (`core.is_isomorphic`).
+Two labelled posets, configurations or the element/cyclic-flat incidence
+posets of `core.is_isomorphic`, are compared in two steps that share one
+stable coloring, computed once per poset (`_Poset`).  First
+`_refinement_separates` compares node counts, label multisets and the
+quotient of the stable coloring, an invariant of isomorphism; only when
+these agree does the canonical form, `_Poset._canonical`, decide, by a
+search that starts from the same coloring.
 
 Nothing in this module imports the Matroid class; functions that accept a
 matroid use only its rank oracle or its stored cyclic flats, so the axiom
@@ -170,25 +174,256 @@ def _fmt(mask: int) -> str:
     return "{" + ",".join(str(e) for e in bit_members(mask)) + "}"
 
 
-class Configuration:
+# -- labelled posets and their canonical form ----------------------------------
+#
+# Individualization plus refinement over the full order relation.  A
+# refinement pass keys a node that is alone in its color by that color,
+# and every other node by its color plus the sorted colors of its strict
+# down-set and up-set; the color leads every key, so the palette order
+# and the partition are those of keying every node in full.  The pass
+# stops once no cell splits.  The stable coloring of the labels is the
+# root of the search; it is computed once per poset and also gives the
+# quotient that `_refinement_separates` compares.
+#
+# Two prunings keep the minimum over the leaves, hence the certificate,
+# and the first leaf reaching it, hence the canonical order:
+#  - back-jump: when a leaf prints the certificate of the first or of
+#    the best leaf, the map between the two leaves is an automorphism
+#    that fixes their common path prefix and carries the sibling the
+#    stored leaf descends from onto the current one, so the rest of the
+#    current subtree at that depth repeats an explored one.  `rec`
+#    returns the prefix length; deeper frames return at once and the
+#    frame at that depth goes on with its next sibling.
+#  - orbit pruning: the automorphisms found so far that fix the current
+#    path pointwise skip a branch candidate that they map from an
+#    already-explored sibling.
+
+
+def _refine(colors: list, down: list[list[int]], up: list[list[int]]) -> list[int]:
+    while True:
+        cells = Counter(colors)
+        get = colors.__getitem__
+        keys = [
+            (
+                c,
+                tuple(sorted(map(get, down[i]))),
+                tuple(sorted(map(get, up[i]))),
+            )
+            if cells[c] > 1
+            else (c,)
+            for i, c in enumerate(colors)
+        ]
+        palette = {k: c for c, k in enumerate(sorted(set(keys)))}
+        new = [palette[k] for k in keys]
+        if len(palette) == len(cells):
+            return new
+        colors = new
+
+
+class _Poset:
+    """A labelled poset and the stable coloring its canonical search
+    starts from.
+
+    `up[i]` and `down[i]` are the bitmasks of the nodes above and below
+    node i, i itself included; `covers` is any list of (lower, upper)
+    pairs that determines the order, such as its Hasse diagram.  The
+    stable coloring is computed on first use and kept for the life of
+    the poset, so the reject and the search share it.
+    """
+
+    __slots__ = ("labels", "covers", "_up", "_down", "_root")
+
+    def __init__(self, labels: tuple, covers: tuple, up: list[int], down: list[int]):
+        self.labels = labels
+        self.covers = covers
+        self._up = up
+        self._down = down
+        self._root = None
+
+    def _stable(self) -> tuple[list[list[int]], list[list[int]], list[int]]:
+        """(strict down-sets, strict up-sets, stable coloring of the labels)."""
+        if self._root is None:
+            strict_down, strict_up = (
+                [bit_members(row ^ 1 << i) for i, row in enumerate(rows)]
+                for rows in (self._down, self._up)
+            )
+            init = {lab: c for c, lab in enumerate(sorted(set(self.labels)))}
+            colors = _refine([init[lab] for lab in self.labels], strict_down, strict_up)
+            self._root = (strict_down, strict_up, colors)
+        return self._root
+
+    def _quotient(self) -> tuple:
+        """For each stable color in order: (label, cell size, sorted colors
+        of one member's strict down-set, sorted colors of its strict
+        up-set)."""
+        strict_down, strict_up, colors = self._stable()
+        sizes = Counter(colors)
+        member: dict[int, int] = {}
+        for i, c in enumerate(colors):
+            member.setdefault(c, i)
+        get = colors.__getitem__
+        return tuple(
+            (
+                self.labels[i],
+                sizes[c],
+                tuple(sorted(map(get, strict_down[i]))),
+                tuple(sorted(map(get, strict_up[i]))),
+            )
+            for c, i in sorted(member.items())
+        )
+
+    def _canonical(self) -> tuple[tuple, list[int]]:
+        """(certificate, canonical colors).
+
+        The certificate is the labels in canonical position order with the
+        covers renumbered by position, so two labelled posets are
+        isomorphic exactly when their certificates are equal; the colors
+        give each node's position, and composing one poset's colors with
+        the inverse of the other's is an isomorphism.
+        """
+        labels, up, down, covers = self.labels, self._up, self._down, self.covers
+        strict_down, strict_up, root = self._stable()
+        t = len(labels)
+        gens: list[tuple[int, ...]] = []
+        first: list = [None]
+        best: list = [None]
+
+        def leaf_cert(colors):
+            pos_to_node = _inverse_perm(colors)
+            return (
+                tuple(labels[i] for i in pos_to_node),
+                tuple(sorted((colors[i], colors[j]) for i, j in covers)),
+            )
+
+        def note_automorphism(c1, c2):
+            if len(gens) >= 64:
+                return
+            inv1, inv2 = _inverse_perm(c1), _inverse_perm(c2)
+            gamma = [0] * t
+            for pos in range(t):
+                gamma[inv1[pos]] = inv2[pos]
+            if any(gamma[i] != i for i in range(t)):
+                gens.append(tuple(gamma))
+
+        def in_explored_orbit(x, explored, path):
+            usable = [g for g in gens if all(g[v] == v for v in path)]
+            if not usable:
+                return False
+            for e in explored:
+                seen = {e}
+                frontier = [e]
+                while frontier:
+                    v = frontier.pop()
+                    if v == x:
+                        return True
+                    for g in usable:
+                        w = g[v]
+                        if w not in seen:
+                            seen.add(w)
+                            frontier.append(w)
+                if x in seen:
+                    return True
+            return False
+
+        def rec(colors, path):
+            # `colors` is stable: callers refine before they recurse
+            groups: dict[int, list[int]] = {}
+            for i, c in enumerate(colors):
+                groups.setdefault(c, []).append(i)
+            target = None
+            for c in sorted(groups):
+                if len(groups[c]) > 1:
+                    target = groups[c]
+                    break
+            if target is None:
+                cert = leaf_cert(colors)
+                jump = len(path)
+                if first[0] is None:
+                    first[0] = (cert, colors, path)
+                elif cert == first[0][0]:
+                    note_automorphism(first[0][1], colors)
+                    jump = _common_prefix(first[0][2], path)
+                if best[0] is None or cert < best[0][0]:
+                    best[0] = (cert, colors, path)
+                elif cert == best[0][0]:
+                    note_automorphism(best[0][1], colors)
+                    jump = min(jump, _common_prefix(best[0][2], path))
+                return jump
+            v0 = target[0]
+            d0 = down[v0] ^ 1 << v0
+            u0 = up[v0] ^ 1 << v0
+            if all(down[v] ^ 1 << v == d0 and up[v] ^ 1 << v == u0 for v in target[1:]):
+                # Twins: equal labels and the same relation to every node
+                # outside the class (equal down sets force pairwise
+                # incomparability, since a node is never in its own down
+                # set).  Every transposition inside the class is then an
+                # automorphism, so all |class|! orderings give the same
+                # leaf certificates; split in one deterministic step.
+                nxt = [(c, 0) for c in colors]
+                for off, v in enumerate(target):
+                    nxt[v] = (colors[v], off + 1)
+                return rec(_refine(nxt, strict_down, strict_up), path)
+            explored: list[int] = []
+            for x in target:
+                if in_explored_orbit(x, explored, path):
+                    continue
+                explored.append(x)
+                nxt = [(c, 1) if j == x else (c, 0) for j, c in enumerate(colors)]
+                jump = rec(_refine(nxt, strict_down, strict_up), path + [x])
+                if jump < len(path):
+                    return jump
+            return len(path)
+
+        rec(root, [])
+        # rec's closure holds rec itself; emptying the cell breaks that
+        # cycle, so the search state is freed by reference counting and
+        # not kept until the cyclic collector next runs
+        del rec
+        cert, colors, _ = best[0]
+        return cert, colors
+
+
+def _refinement_separates(p: _Poset, q: _Poset) -> bool:
+    """Whether a check cheaper than the canonical search proves that two
+    labelled posets are not isomorphic: their node counts, their label
+    multisets, or the quotients of their stable colorings differ.
+
+    The quotient is invariant under isomorphism.  The initial colors
+    number the sorted set of labels, and each refinement pass numbers the
+    sorted set of keys, which are built from colors only.  So an
+    isomorphism p -> q carries each color of p onto the same color of q,
+    pass by pass, and carries the strict down-set and up-set of a node
+    onto those of its image.  In a stable coloring the members of a cell
+    share their keys, so the quotient does not depend on the member
+    chosen, and isomorphic posets have equal quotients.  Unequal
+    quotients therefore prove that p and q are not isomorphic.
+    """
+    return (
+        len(p.labels) != len(q.labels)
+        or sorted(p.labels) != sorted(q.labels)
+        or p._quotient() != q._quotient()
+    )
+
+
+class Configuration(_Poset):
     """The labeled lattice shape of a cyclic-flat family.
 
     Nodes carry (size, rank) labels; `covers` lists (lower, upper) index
     pairs.  Two configurations are equal when a poset isomorphism matches
-    both labels; equality compares the canonical certificates of
-    `_canonical`, the exact individualization-refinement search that also
-    decides matroid isomorphism.
+    both labels.  Equality first tries to separate the two by
+    `_refinement_separates` (node counts, label multisets, then the
+    quotient of the stable coloring); only when that fails does it
+    compare the canonical certificates of `_Poset._canonical`, the exact
+    individualization-refinement search that also decides matroid
+    isomorphism.  Both steps start from the same stable coloring, which
+    is computed once per configuration.
 
     `coloop_count` rides along for reporting because the lattice alone
     cannot see coloops; it is deliberately not part of equality.
     """
 
     __slots__ = (
-        "labels",
-        "covers",
         "coloop_count",
-        "_up",
-        "_down",
         "_bottom",
         "_top",
         "_cert",
@@ -232,11 +467,8 @@ class Configuration:
                 )
         if labels[bottoms[0]][1] != 0:
             raise ValidationError("the least node must have rank 0")
-        self.labels = labels
-        self.covers = tuple(cov)
+        super().__init__(labels, tuple(cov), up, down)
         self.coloop_count = int(coloop_count)
-        self._up = up
-        self._down = down
         self._bottom = bottoms[0]
         self._top = tops[0]
         self._cert = None
@@ -283,7 +515,7 @@ class Configuration:
     # -- canonical form --------------------------------------------------------
 
     def _search(self) -> None:
-        self._cert, self._canon_colors = _canonical(self.labels, self._up, self._down, self.covers)
+        self._cert, self._canon_colors = self._canonical()
 
     @property
     def certificate(self) -> tuple:
@@ -298,173 +530,17 @@ class Configuration:
         return _inverse_perm(self._canon_colors)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Configuration) and self.certificate == other.certificate
+        return (
+            isinstance(other, Configuration)
+            and not _refinement_separates(self, other)
+            and self.certificate == other.certificate
+        )
 
     def __hash__(self) -> int:
         return hash(self.certificate)
 
     def __repr__(self) -> str:
         return f"Configuration(nodes={len(self.labels)}, top={self.labels[self.top]})"
-
-
-# -- canonical form ------------------------------------------------------------
-#
-# Individualization plus refinement over the full order relation.  A
-# refinement pass keys a node that is alone in its color by that color,
-# and every other node by its color plus the sorted colors of its strict
-# down-set and up-set; the color leads every key, so the palette order
-# and the partition are those of keying every node in full.  The pass
-# stops once no cell splits.
-#
-# Two prunings keep the minimum over the leaves, hence the certificate,
-# and the first leaf reaching it, hence the canonical order:
-#  - back-jump: when a leaf prints the certificate of the first or of
-#    the best leaf, the map between the two leaves is an automorphism
-#    that fixes their common path prefix and carries the sibling the
-#    stored leaf descends from onto the current one, so the rest of the
-#    current subtree at that depth repeats an explored one.  `rec`
-#    returns the prefix length; deeper frames return at once and the
-#    frame at that depth goes on with its next sibling.
-#  - orbit pruning: the automorphisms found so far that fix the current
-#    path pointwise skip a branch candidate that they map from an
-#    already-explored sibling.
-
-
-def _refine(colors: list, down: list[list[int]], up: list[list[int]]) -> list[int]:
-    while True:
-        cells = Counter(colors)
-        get = colors.__getitem__
-        keys = [
-            (
-                c,
-                tuple(sorted(map(get, down[i]))),
-                tuple(sorted(map(get, up[i]))),
-            )
-            if cells[c] > 1
-            else (c,)
-            for i, c in enumerate(colors)
-        ]
-        palette = {k: c for c, k in enumerate(sorted(set(keys)))}
-        new = [palette[k] for k in keys]
-        if len(palette) == len(cells):
-            return new
-        colors = new
-
-
-def _canonical(labels, up, down, covers) -> tuple[tuple, list[int]]:
-    """(certificate, canonical colors) of a labelled poset.
-
-    `up[i]` and `down[i]` are the bitmasks of the nodes above and below
-    node i, i itself included; `covers` is any list of (lower, upper)
-    pairs that determines the order, such as its Hasse diagram.  The
-    certificate is the labels in canonical position order with the
-    covers renumbered by position, so two labelled posets are isomorphic
-    exactly when their certificates are equal; the colors give each
-    node's position, and composing one poset's colors with the inverse
-    of the other's is an isomorphism.
-    """
-    t = len(labels)
-    strict_down, strict_up = (
-        [bit_members(row ^ 1 << i) for i, row in enumerate(rows)] for rows in (down, up)
-    )
-    init = {lab: c for c, lab in enumerate(sorted(set(labels)))}
-    gens: list[tuple[int, ...]] = []
-    first: list = [None]
-    best: list = [None]
-
-    def leaf_cert(colors):
-        pos_to_node = _inverse_perm(colors)
-        return (
-            tuple(labels[i] for i in pos_to_node),
-            tuple(sorted((colors[i], colors[j]) for i, j in covers)),
-        )
-
-    def note_automorphism(c1, c2):
-        if len(gens) >= 64:
-            return
-        inv1, inv2 = _inverse_perm(c1), _inverse_perm(c2)
-        gamma = [0] * t
-        for pos in range(t):
-            gamma[inv1[pos]] = inv2[pos]
-        if any(gamma[i] != i for i in range(t)):
-            gens.append(tuple(gamma))
-
-    def in_explored_orbit(x, explored, path):
-        usable = [g for g in gens if all(g[v] == v for v in path)]
-        if not usable:
-            return False
-        for e in explored:
-            seen = {e}
-            frontier = [e]
-            while frontier:
-                v = frontier.pop()
-                if v == x:
-                    return True
-                for g in usable:
-                    w = g[v]
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            if x in seen:
-                return True
-        return False
-
-    def rec(colors, path):
-        colors = _refine(colors, strict_down, strict_up)
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(colors):
-            groups.setdefault(c, []).append(i)
-        target = None
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                target = groups[c]
-                break
-        if target is None:
-            cert = leaf_cert(colors)
-            jump = len(path)
-            if first[0] is None:
-                first[0] = (cert, colors, path)
-            elif cert == first[0][0]:
-                note_automorphism(first[0][1], colors)
-                jump = _common_prefix(first[0][2], path)
-            if best[0] is None or cert < best[0][0]:
-                best[0] = (cert, colors, path)
-            elif cert == best[0][0]:
-                note_automorphism(best[0][1], colors)
-                jump = min(jump, _common_prefix(best[0][2], path))
-            return jump
-        v0 = target[0]
-        d0 = down[v0] ^ 1 << v0
-        u0 = up[v0] ^ 1 << v0
-        if all(down[v] ^ 1 << v == d0 and up[v] ^ 1 << v == u0 for v in target[1:]):
-            # Twins: equal labels and the same relation to every node
-            # outside the class (equal down sets force pairwise
-            # incomparability, since a node is never in its own down
-            # set).  Every transposition inside the class is then an
-            # automorphism, so all |class|! orderings give the same
-            # leaf certificates; split in one deterministic step.
-            nxt = [(c, 0) for c in colors]
-            for off, v in enumerate(target):
-                nxt[v] = (colors[v], off + 1)
-            return rec(nxt, path)
-        explored: list[int] = []
-        for x in target:
-            if in_explored_orbit(x, explored, path):
-                continue
-            explored.append(x)
-            nxt = [(c, 1) if j == x else (c, 0) for j, c in enumerate(colors)]
-            jump = rec(nxt, path + [x])
-            if jump < len(path):
-                return jump
-        return len(path)
-
-    rec([init[lab] for lab in labels], [])
-    # rec's closure holds rec itself; emptying the cell breaks that cycle,
-    # so the poset is freed by reference counting and not kept until the
-    # cyclic collector next runs
-    del rec
-    cert, colors, _ = best[0]
-    return cert, colors
 
 
 def _common_prefix(a: list[int], b: list[int]) -> int:

@@ -1,5 +1,6 @@
 import pytest
 
+from freecone import Configuration
 from freecone.catalog import example_pair, fixture_matroids, separating_pair
 
 
@@ -26,3 +27,18 @@ def n1():
 @pytest.fixture(scope="session")
 def n2():
     return separating_pair()[1]
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The node counts of the configurations whose canonical search runs
+    while the test does, in call order."""
+    calls = []
+    search = Configuration._search
+
+    def counted(cfg):
+        calls.append(len(cfg))
+        search(cfg)
+
+    monkeypatch.setattr(Configuration, "_search", counted)
+    return calls

@@ -10,6 +10,7 @@ which list the nodes in that order, do not change.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -63,12 +64,28 @@ def test_search_matches_the_oracle_on_the_corpus():
     assert _mismatches(CORPUS) == []
 
 
+SMALL = [cfg for cfg in CORPUS if len(cfg) <= 120]
+
+
 def test_search_matches_the_oracle_with_reversed_node_indices():
     # the search branches on the nodes of a cell in index order, so the
     # reversed indices walk the tree in another order
-    small = [cfg for cfg in CORPUS if len(cfg) <= 120]
-    assert len(small) >= 300
-    assert _mismatches([oracles.reversed_nodes(cfg) for cfg in small]) == []
+    assert len(SMALL) >= 300
+    assert _mismatches([oracles.reversed_nodes(cfg) for cfg in SMALL]) == []
+
+
+def test_equality_agrees_with_the_certificates():
+    # equality rejects by the quotient of the stable coloring before any
+    # search; fresh copies start with no coloring and no certificate
+    reversed_ = [oracles.reversed_nodes(cfg) for cfg in SMALL]
+    assert all(r._quotient() == cfg._quotient() for r, cfg in zip(reversed_, SMALL))
+    configs = [Configuration(cfg.labels, cfg.covers) for cfg in SMALL + reversed_]
+    by_count: dict[int, list] = {}
+    for cfg in configs:
+        by_count.setdefault(len(cfg), []).append(cfg)
+    pairs = [(a, b) for group in by_count.values() for a, b in combinations(group, 2)]
+    assert len(pairs) >= 10_000
+    assert all((a == b) is (a.certificate == b.certificate) for a, b in pairs)
 
 
 def _regular(rng, n, d):
@@ -99,12 +116,38 @@ def _regular_poset(rng):
     labels = [(0, 0)] + [(1, 1)] * n + [(2, 2)] * n + [(3, 3)]
     covers = [(0, 1 + i) for i in range(n)] + [(1 + n + j, t - 1) for j in range(n)]
     covers += [(1 + a, 1 + n + b) for a, b in edges]
+    return _shuffled(Configuration(labels, covers), rng)
+
+
+def _shuffled(cfg, rng):
+    """The same configuration with its node indices shuffled."""
+    t = len(cfg)
     perm = list(range(t))
     rng.shuffle(perm)
     where = {p: i for i, p in enumerate(perm)}
     return Configuration(
-        [labels[where[i]] for i in range(t)], [(perm[i], perm[j]) for i, j in covers]
+        [cfg.labels[where[i]] for i in range(t)], [(perm[i], perm[j]) for i, j in cfg.covers]
     )
+
+
+def test_equality_searches_when_refinement_does_not_separate(searches):
+    # refinement splits nothing on a regular poset, so two of the same
+    # shape share their quotient and only the certificates tell them apart
+    rng = random.Random(5)
+    by_quotient: dict[tuple, list] = {}
+    for cfg in (_regular_poset(rng) for _ in range(50)):
+        by_quotient.setdefault(cfg._quotient(), []).append(cfg)
+    a, b = next(
+        (a, b)
+        for group in by_quotient.values()
+        for a, b in combinations(group, 2)
+        if a.certificate != b.certificate
+    )
+    a, b = (Configuration(cfg.labels, cfg.covers) for cfg in (a, b))
+    searches.clear()
+    assert a != b
+    assert searches == [len(a), len(b)]
+    assert _shuffled(a, rng) == a
 
 
 def test_search_matches_the_oracle_on_regular_posets():

@@ -20,8 +20,10 @@ from freecone import (
     catenary_data,
     catenary_of_cone,
     certify_pair,
+    configuration,
     free_m_cone,
     g_invariant,
+    reconstruct_from_cone_config,
     src_data,
     src_from_g,
     tutte,
@@ -219,3 +221,24 @@ def test_certify_pair_on_the_cones_of_the_example_pair():
     report = certify_pair(Q1, Q2, 1)
     assert report.oracle_ok is True
     assert [leg["passed"] for leg in report.legs] == [True, True, True, True]
+
+
+@pytest.mark.parametrize("pair", ["example", "u36/mk4"])
+def test_certify_pair_separates_the_cones_without_a_certificate(pair, searches):
+    # refinement tells the cones apart, so leg 4 needs no canonical search:
+    # the example's 1-cones have equal node counts, those of U(3,6) and
+    # M(K4) do not
+    fixtures = dict(FIXTURES)
+    M, N = example_pair() if pair == "example" else (fixtures[k] for k in pair.split("/"))
+    report = certify_pair(M, N, 1)
+    assert report.legs[3]["passed"] is True
+    assert searches == []
+
+
+def test_reconstruct_searches_the_input_and_the_rebuilt_cone_once_each(searches):
+    # equal cones are not separated by refinement, so both certificates are
+    # needed; each search starts from the root its poset already refined
+    M = dict(FIXTURES)["mk4"]
+    cfg = configuration(free_m_cone(M, 1))
+    assert reconstruct_from_cone_config(cfg, VariantKind.FULL, 1).n == M.n
+    assert searches == [len(cfg), len(cfg)]
