@@ -32,9 +32,9 @@ cover.
 
 The cyclic flats with ranks also determine the matroid up to relabelling,
 so isomorphism has no search of its own: is_isomorphic compares the
-element/cyclic-flat incidence posets with the reject and the canonical
-search that decide configuration equality (zlattice._refinement_separates
-and zlattice._Poset._canonical).
+element/cyclic-flat incidence posets with the decision that configuration
+equality uses (zlattice._matching_leaves): the refinement reject, then
+the search of one poset for a leaf matching the other's first leaf.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from .errors import AxiomViolation, GroundSetTooLarge, NotABasisSystem, Validati
 from .zlattice import (
     _covers,
     _inverse_perm,
+    _matching_leaves,
     _order_masks,
     _Poset,
-    _refinement_separates,
     validate_axioms,
 )
 
@@ -397,13 +397,15 @@ def is_isomorphic(M: Matroid, N: Matroid):
     are: the elements as minimal nodes with a label no flat has, the
     cyclic flats labelled (size, rank), and e < Z when e is in Z.  Pairs
     whose element counts or multisets of flat labels differ are rejected
-    before the posets are built.  Then `_refinement_separates`, the reject
+    before the posets are built.  Then `_matching_leaves`, the decision
     that configuration equality uses, compares the quotients of the two
-    stable colorings; an element's color there already holds the labels
-    of the flats that contain it.  Only when that does not separate the
-    posets do their canonical certificates decide, from the same stable
-    colorings, and the canonical orders compose into the bijection,
-    returned as a tuple (image of 0, image of 1, ...).
+    stable colorings (an element's color there already holds the labels
+    of the flats that contain it) and, when that does not separate the
+    posets, searches N's poset for a leaf with the certificate of M's
+    first leaf.  The colorings of the two matched leaves compose into the
+    bijection, returned as a tuple (image of 0, image of 1, ...).  It is
+    an isomorphism, but not always the one that the canonical forms would
+    give.
     """
     if M.n != N.n:
         return None
@@ -411,13 +413,10 @@ def is_isomorphic(M: Matroid, N: Matroid):
         (z.bit_count(), r) for z, r in N.zf
     ):
         return None
-    pm, pn = _incidence_poset(M), _incidence_poset(N)
-    if _refinement_separates(pm, pn):
+    leaves = _matching_leaves(_incidence_poset(M), _incidence_poset(N))
+    if leaves is None:
         return None
-    cert_m, colors_m = pm._canonical()
-    cert_n, colors_n = pn._canonical()
-    if cert_m != cert_n:
-        return None
+    colors_m, colors_n = leaves
     # elements carry the least label, so they fill positions 0..n-1
     order_n = _inverse_perm(colors_n)
     return tuple(order_n[colors_m[e]] for e in range(M.n))

@@ -10,12 +10,14 @@ when it satisfies the axioms checked by :func:`validate_axioms`:
   Z3  r(X∨Y) + r(X∧Y) + |(X∩Y) - (X∧Y)| ≤ r(X) + r(Y).
 
 Two labelled posets, configurations or the element/cyclic-flat incidence
-posets of `core.is_isomorphic`, are compared in two steps that share one
-stable coloring, computed once per poset (`_Poset`).  First
-`_refinement_separates` compares node counts, label multisets and the
-quotient of the stable coloring, an invariant of isomorphism; only when
-these agree does the canonical form, `_Poset._canonical`, decide, by a
-search that starts from the same coloring.
+posets of `core.is_isomorphic`, are compared by `_matching_leaves` in two
+steps that share one stable coloring, computed once per poset (`_Poset`).
+First `_refinement_separates` compares node counts, label multisets and
+the quotient of the stable coloring, an invariant of isomorphism.  Only
+when these agree does the search of `_Poset._canonical`, which starts
+from the same coloring, decide: it walks one poset's tree until a leaf
+prints the certificate of a leaf of the other, so no canonical form is
+needed unless a poset already holds one.
 
 Nothing in this module imports the Matroid class; functions that accept a
 matroid use only its rank oracle or its stored cyclic flats, so the axiom
@@ -197,6 +199,8 @@ def _fmt(mask: int) -> str:
 #  - orbit pruning: the automorphisms found so far that fix the current
 #    path pointwise skip a branch candidate that they map from an
 #    already-explored sibling.
+# A search with a goal prunes the same way and stops at the first leaf
+# that meets the goal: `rec` then returns -1, which every frame passes up.
 
 
 def _refine(colors: list, down: list[list[int]], up: list[list[int]]) -> list[int]:
@@ -218,6 +222,10 @@ def _refine(colors: list, down: list[list[int]], up: list[list[int]]) -> list[in
         if len(palette) == len(cells):
             return new
         colors = new
+
+
+# the goal of a search that stops at its first leaf
+_ANY_LEAF = object()
 
 
 class _Poset:
@@ -272,14 +280,24 @@ class _Poset:
             for c, i in sorted(member.items())
         )
 
-    def _canonical(self) -> tuple[tuple, list[int]]:
-        """(certificate, canonical colors).
+    def _held(self) -> Optional[tuple[tuple, list[int]]]:
+        """(certificate, canonical colors) if a full search has stored
+        them, else None; a bare poset stores none."""
+        return None
 
-        The certificate is the labels in canonical position order with the
-        covers renumbered by position, so two labelled posets are
-        isomorphic exactly when their certificates are equal; the colors
-        give each node's position, and composing one poset's colors with
-        the inverse of the other's is an isomorphism.
+    def _canonical(self, goal=None) -> Optional[tuple[tuple, list[int]]]:
+        """(certificate, colors) of one leaf of the search tree.
+
+        A leaf's certificate is the labels in the position order of its
+        discrete coloring with the covers renumbered by position; its
+        colors give each node's position.  Without a goal the search runs
+        to the end and returns the least certificate and the first leaf
+        that prints it: the canonical form, equal for two labelled posets
+        exactly when they are isomorphic.  With the goal `_ANY_LEAF` it
+        returns its first leaf, one descent.  With a certificate as the
+        goal it returns the first explored leaf that prints it, or None
+        once the pruned tree is exhausted; see `_matching_leaves` for why
+        that decides isomorphism.
         """
         labels, up, down, covers = self.labels, self._up, self._down, self.covers
         strict_down, strict_up, root = self._stable()
@@ -287,6 +305,7 @@ class _Poset:
         gens: list[tuple[int, ...]] = []
         first: list = [None]
         best: list = [None]
+        hit: list = [None]
 
         def leaf_cert(colors):
             pos_to_node = _inverse_perm(colors)
@@ -337,6 +356,9 @@ class _Poset:
                     break
             if target is None:
                 cert = leaf_cert(colors)
+                if goal is _ANY_LEAF or goal == cert:
+                    hit[0] = (cert, colors)
+                    return -1
                 jump = len(path)
                 if first[0] is None:
                     first[0] = (cert, colors, path)
@@ -379,6 +401,8 @@ class _Poset:
         # cycle, so the search state is freed by reference counting and
         # not kept until the cyclic collector next runs
         del rec
+        if goal is not None:
+            return hit[0]
         cert, colors, _ = best[0]
         return cert, colors
 
@@ -405,18 +429,64 @@ def _refinement_separates(p: _Poset, q: _Poset) -> bool:
     )
 
 
+def _matching_leaves(p: _Poset, q: _Poset) -> Optional[tuple[list[int], list[int]]]:
+    """The colors of a leaf of p's search tree and of a leaf of q's that
+    print one certificate, or None when p and q are not isomorphic.
+
+    After `_refinement_separates`, certificates held by both posets are
+    compared; a certificate held by one is the goal of the other's
+    search; when neither holds one, p descends to its first leaf and q's
+    search looks for that leaf's certificate.  A pair that does not
+    match thus costs at most one descent and one full search, and the
+    early-stopping search stores no certificate.  The answer is exact:
+
+    - A match is an isomorphism.  Equal leaf certificates list equal
+      labels position by position and the same covers between positions,
+      so the map that sends the node of p at each position to the node of
+      q at that position carries labels and covers across.
+    - The explored leaves print every certificate of the full tree.  A
+      skip by orbit pruning passes over the image of an explored sibling
+      subtree under an automorphism that fixes the path; a back-jump
+      passes over the image of an explored subtree under the automorphism
+      between two leaves with one certificate, which fixes their common
+      prefix; the twins step takes one of |class|! orderings that
+      transpositions, automorphisms too, carry onto each other.  Images
+      of a subtree print the same certificates, so by induction on the
+      order of the search every certificate has an explored leaf.
+    - If p and q are isomorphic, q's tree holds p's leaf certificates.
+      Refinement, the choice of the target cell (the least color with two
+      or more nodes) and the twins test are all equivariant, so an
+      isomorphism p -> q carries p's tree onto q's, leaf onto leaf with
+      the same certificate; by the point above, q's search explores one.
+    """
+    if _refinement_separates(p, q):
+        return None
+    held_p, held_q = p._held(), q._held()
+    if held_p is not None and held_q is not None:
+        return (held_p[1], held_q[1]) if held_p[0] == held_q[0] else None
+    if held_q is not None:
+        leaf_p = p._canonical(held_q[0])
+        return None if leaf_p is None else (leaf_p[1], held_q[1])
+    leaf_p = held_p or p._canonical(_ANY_LEAF)
+    leaf_q = q._canonical(leaf_p[0])
+    return None if leaf_q is None else (leaf_p[1], leaf_q[1])
+
+
 class Configuration(_Poset):
     """The labeled lattice shape of a cyclic-flat family.
 
     Nodes carry (size, rank) labels; `covers` lists (lower, upper) index
     pairs.  Two configurations are equal when a poset isomorphism matches
-    both labels.  Equality first tries to separate the two by
+    both labels.  Equality is decided by `_matching_leaves`, which also
+    decides matroid isomorphism: it first tries to separate the two by
     `_refinement_separates` (node counts, label multisets, then the
-    quotient of the stable coloring); only when that fails does it
-    compare the canonical certificates of `_Poset._canonical`, the exact
-    individualization-refinement search that also decides matroid
-    isomorphism.  Both steps start from the same stable coloring, which
-    is computed once per configuration.
+    quotient of the stable coloring); only when that fails does the
+    individualization-refinement search of `_Poset._canonical` look, in
+    one configuration's tree, for a leaf that prints the certificate of
+    the other's first leaf, or of its canonical form once `certificate`
+    has been read.  Both steps start from the same stable coloring, which
+    is computed once per configuration.  Equality stores no certificate:
+    only `certificate`, `canonical_order` and hashing run the full search.
 
     `coloop_count` rides along for reporting because the lattice alone
     cannot see coloops; it is deliberately not part of equality.
@@ -529,12 +599,11 @@ class Configuration(_Poset):
             self._search()
         return _inverse_perm(self._canon_colors)
 
+    def _held(self) -> Optional[tuple[tuple, list[int]]]:
+        return None if self._cert is None else (self._cert, self._canon_colors)
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Configuration)
-            and not _refinement_separates(self, other)
-            and self.certificate == other.certificate
-        )
+        return isinstance(other, Configuration) and _matching_leaves(self, other) is not None
 
     def __hash__(self) -> int:
         return hash(self.certificate)

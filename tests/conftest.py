@@ -2,6 +2,7 @@ import pytest
 
 from freecone import Configuration
 from freecone.catalog import example_pair, fixture_matroids, separating_pair
+from freecone.zlattice import _ANY_LEAF, _Poset
 
 
 @pytest.fixture(scope="session")
@@ -41,4 +42,21 @@ def searches(monkeypatch):
         search(cfg)
 
     monkeypatch.setattr(Configuration, "_search", counted)
+    return calls
+
+
+@pytest.fixture
+def stopping_searches(monkeypatch):
+    """The searches with a goal that run while the test does, in call
+    order: "descent" for one that stops at its first leaf, "match" for one
+    that looks for a given certificate."""
+    calls = []
+    canonical = _Poset._canonical
+
+    def counted(poset, goal=None):
+        if goal is not None:
+            calls.append("descent" if goal is _ANY_LEAF else "match")
+        return canonical(poset, goal)
+
+    monkeypatch.setattr(_Poset, "_canonical", counted)
     return calls

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from freecone import Configuration, VariantKind, configuration, free_m_cone, variant
+from freecone import Configuration, VariantKind, configuration, free_m_cone, variant, zlattice
 from freecone.catalog import example_pair, fixture_matroids, rank_two, separating_pair, uniform
 
 
@@ -108,15 +108,21 @@ def _regular_poset(rng):
     shuffled."""
     d = rng.choice((2, 3))
     graphs = [_regular(rng, rng.randint(d + 1, 5), d) for _ in range(rng.randint(1, 3))]
+    return _shuffled(_stacked([rng.choice(graphs) for _ in range(rng.randint(2, 3))], d), rng)
+
+
+def _stacked(graphs, d):
+    """Bottom, two levels of equal labels, top, and between the levels the
+    disjoint union of `graphs`, d-regular bipartite graphs as edge sets."""
     edges, n = [], 0
-    for g in (rng.choice(graphs) for _ in range(rng.randint(2, 3))):
+    for g in graphs:
         edges += [(n + a, n + b) for a, b in g]
         n += len(g) // d
     t = 2 * n + 2
     labels = [(0, 0)] + [(1, 1)] * n + [(2, 2)] * n + [(3, 3)]
     covers = [(0, 1 + i) for i in range(n)] + [(1 + n + j, t - 1) for j in range(n)]
     covers += [(1 + a, 1 + n + b) for a, b in edges]
-    return _shuffled(Configuration(labels, covers), rng)
+    return Configuration(labels, covers)
 
 
 def _shuffled(cfg, rng):
@@ -130,9 +136,11 @@ def _shuffled(cfg, rng):
     )
 
 
-def test_equality_searches_when_refinement_does_not_separate(searches):
+def test_equality_searches_when_refinement_does_not_separate(searches, stopping_searches):
     # refinement splits nothing on a regular poset, so two of the same
-    # shape share their quotient and only the certificates tell them apart
+    # shape share their quotient and only the search tells them apart: one
+    # descends to its first leaf, and the other's search finds no leaf
+    # with that certificate
     rng = random.Random(5)
     by_quotient: dict[tuple, list] = {}
     for cfg in (_regular_poset(rng) for _ in range(50)):
@@ -146,8 +154,45 @@ def test_equality_searches_when_refinement_does_not_separate(searches):
     a, b = (Configuration(cfg.labels, cfg.covers) for cfg in (a, b))
     searches.clear()
     assert a != b
-    assert searches == [len(a), len(b)]
+    assert searches == []
+    assert stopping_searches == ["descent", "match"]
     assert _shuffled(a, rng) == a
+
+
+@pytest.mark.parametrize("n, d, k", [(6, 2, 4), (7, 3, 3)])
+def test_equality_searches_no_more_than_both_certificates(monkeypatch, n, d, k):
+    # k copies of a regular graph g1 against k - 1 copies and one other
+    # graph g2, then against a shuffled copy: refinement splits neither
+    # pair, and a pair search without automorphism pruning on its second
+    # poset took minutes on the first pair of (6, 2, 4).  For n = 6 this
+    # seed draws a 4-cycle plus an 8-cycle as g1, whose copies make the
+    # slowest of these searches, and a 12-cycle as g2.
+    rng = random.Random(8)
+    g1 = _regular(rng, n, d)
+    alone = _stacked([g1], d).certificate
+    g2 = next(g for g in iter(lambda: _regular(rng, n, d), None)
+              if _stacked([g], d).certificate != alone)
+    base = _stacked([g1] * k, d)
+    refines = []
+    refine = zlattice._refine
+
+    def counted(*args):
+        refines.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(zlattice, "_refine", counted)
+    answers = []
+    for other in (_stacked([g1] * (k - 1) + [g2], d), _shuffled(base, rng)):
+        a, b = (Configuration(cfg.labels, cfg.covers) for cfg in (base, other))
+        assert a._quotient() == b._quotient()
+        refines.clear()
+        answers.append(a == b)
+        by_equality = len(refines)
+        a, b = (Configuration(cfg.labels, cfg.covers) for cfg in (base, other))
+        refines.clear()
+        assert answers[-1] is (a.certificate == b.certificate)
+        assert by_equality <= len(refines)
+    assert answers == [False, True]
 
 
 def test_search_matches_the_oracle_on_regular_posets():

@@ -315,11 +315,14 @@ def test_isomorphism_above_ten_elements():
     M = uniform(2, 11)
     assert is_isomorphic(M, _shuffled(M, 1)) is not None
 
-    Q = free_m_cone(uniform(3, 14), 1)
-    R = _shuffled(Q, 2)
-    perm = is_isomorphic(Q, R)
-    assert Q.n == 29 and perm is not None
-    assert Q.relabel(list(perm)) == R
+    for k, n in ((14, 29), (20, 41)):
+        Q = free_m_cone(uniform(3, k), 1)
+        R = _shuffled(Q, 2)
+        perm = is_isomorphic(Q, R)
+        assert Q.n == n and perm is not None
+        # the matched leaves give a bijection, not always the canonical one:
+        # it must carry Z(Q) with its ranks onto Z(R)
+        assert Q.relabel(list(perm)) == R
 
     Q1, Q2 = (free_m_cone(M, 1) for M in example_pair())
     assert Q1.n == Q2.n == 13

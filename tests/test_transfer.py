@@ -235,10 +235,14 @@ def test_certify_pair_separates_the_cones_without_a_certificate(pair, searches):
     assert searches == []
 
 
-def test_reconstruct_searches_the_input_and_the_rebuilt_cone_once_each(searches):
-    # equal cones are not separated by refinement, so both certificates are
-    # needed; each search starts from the root its poset already refined
+def test_reconstruct_matches_the_rebuilt_cone_with_one_descent_and_one_search(
+    searches, stopping_searches
+):
+    # equal cones are not separated by refinement: the rebuilt cone descends
+    # to its first leaf and the input's search stops at a leaf with that
+    # certificate, so neither runs the full canonical search
     M = dict(FIXTURES)["mk4"]
     cfg = configuration(free_m_cone(M, 1))
     assert reconstruct_from_cone_config(cfg, VariantKind.FULL, 1).n == M.n
-    assert searches == [len(cfg), len(cfg)]
+    assert searches == []
+    assert stopping_searches == ["descent", "match"]
